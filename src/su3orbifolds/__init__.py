@@ -111,95 +111,3 @@ from .o5 import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AbelianGroup2",
-    "TRIVIAL_GROUP",
-    "RationalWitness",
-    "feasibility",
-    "kernel_elements",
-    "kernel_generator",
-    "kernel_group",
-    "snf2",
-    "ALL_PERMS",
-    "CYCLE_123",
-    "CYCLE_132",
-    "IDENTITY",
-    "PERM_NAMES",
-    "SWAP_12",
-    "SWAP_13",
-    "SWAP_23",
-    "CircleAction7",
-    "Validity",
-    "almost_positive7",
-    "cohom1_match",
-    "gamma7",
-    "permute",
-    "positive7",
-    "validate7",
-    "EDGE_ENDPOINTS",
-    "EDGE_ORDER",
-    "VERTEX_ORDER",
-    "Cohom1Params",
-    "Cohom1Tables",
-    "EdgeReport",
-    "GL2Z",
-    "Permute",
-    "Scale",
-    "Shift",
-    "SingularLocusReport",
-    "Swap",
-    "FamilyClassification",
-    "TorusAction6",
-    "apply_equivalence",
-    "cohom1_params",
-    "cohom1_tables",
-    "effectivize",
-    "effectivize_cohom1",
-    "gamma6",
-    "kernel_of_action",
-    "lgroup6",
-    "singular_report",
-    "classify_family_member",
-    "validate6",
-    "vertex_order_formula",
-    "CircleCombo",
-    "ExhaustedBound",
-    "FlatWitness",
-    "ReparCase",
-    "find_circle",
-    "flat_witness",
-    "repar_normal_form",
-    "NotPrimitiveError",
-    "O5Descriptor",
-    "Rp2Stratum",
-    "WeightedCP",
-    "WuReport",
-    "ZeroWeightError",
-    "o5_descriptor",
-    "weighted_cp",
-    "wu_quotient",
-    "CheegerMetric",
-    "Y3",
-    "flatness",
-    "haar_su3",
-    "horizontal_basis_O5",
-    "inner",
-    "inner_nu",
-    "su3_basis",
-    "vertical_basis_O5",
-    "CertificateError",
-    "FlatPlaneCertificate",
-    "FlatnessSearch",
-    "O5Verification",
-    "distance_to_torus",
-    "flat_plane_at_torus",
-    "g_z",
-    "min_flatness",
-    "o5_verify",
-    "plane_angle",
-    "plane_contains",
-    "stabilizer_check",
-    "torus_point",
-    "torus_tangents",
-]

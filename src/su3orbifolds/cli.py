@@ -15,20 +15,19 @@ degenerate action, 3 internal invariant breach.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
+from typing import get_args
 
 from .curvature import ExhaustedBound, find_circle, flat_witness, repar_normal_form
 from .eschenburg6 import (
     EDGE_ENDPOINTS,
     EDGE_ORDER,
     VERTEX_ORDER,
-    GL2Z,
+    EquivalenceMove,
     Permute,
-    Scale,
-    Shift,
-    Swap,
     TorusAction6,
     cohom1_params,
     cohom1_tables,
@@ -48,6 +47,7 @@ from .eschenburg7 import (
     positive7,
     validate7,
 )
+from .lattice import AbelianGroup2
 from .o5 import CertificateError, o5_verify
 from .special import NotPrimitiveError, ZeroWeightError, weighted_cp, wu_quotient
 
@@ -75,52 +75,44 @@ def _triple(text: str) -> tuple[int, int, int]:
         raise MalformedInput(f"bad integer in {text!r}: {exc}") from exc
 
 
-def _istr(n: int) -> str:
-    return str(int(n))
+_MOVES = get_args(EquivalenceMove)
 
 
-def _triple_json(w) -> list[str]:
-    return [_istr(x) for x in w]
+def _json(value):
+    """JSON form of a result value.
 
-
-def _frac_json(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
-
-
-def _group_json(g) -> dict:
-    return {
-        "d1": _istr(g.d1),
-        "d2": _istr(g.d2),
-        "order": _istr(g.order),
-        "name": str(g),
-    }
-
-
-def _move_json(move) -> dict:
-    if isinstance(move, Swap):
-        return {"kind": "Swap"}
-    if isinstance(move, Scale):
-        return {"kind": "Scale", "lam": _frac_json(move.lam), "mu": _frac_json(move.mu)}
-    if isinstance(move, Shift):
-        return {"kind": "Shift", "c": _istr(move.c), "d": _istr(move.d)}
-    if isinstance(move, Permute):
+    Integers become decimal strings and fractions "p/q", so nothing is
+    rounded through a float; groups become d1/d2/order/name, torus actions
+    a/b/p/q, and moves {"kind", **fields} with permutations by name.
+    None, bool, str and float pass through; containers are mapped.
+    """
+    if value is None or isinstance(value, (bool, str, float)):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return str(value)
+    if isinstance(value, (list, tuple)):
+        return [_json(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _json(v) for k, v in value.items()}
+    if isinstance(value, AbelianGroup2):
+        return {
+            "d1": _json(value.d1),
+            "d2": _json(value.d2),
+            "order": _json(value.order),
+            "name": str(value),
+        }
+    if isinstance(value, TorusAction6):
+        return {k: _json(getattr(value, k)) for k in ("a", "b", "p", "q")}
+    if isinstance(value, Permute):
         return {
             "kind": "Permute",
-            "sigma": PERM_NAMES[move.sigma],
-            "tau": PERM_NAMES[move.tau],
+            "sigma": PERM_NAMES[value.sigma],
+            "tau": PERM_NAMES[value.tau],
         }
-    if isinstance(move, GL2Z):
-        return {"kind": "GL2Z", "m": [[_istr(x) for x in row] for row in move.m]}
-    raise TypeError(f"unknown move {move!r}")
-
-
-def _action_json(act: TorusAction6) -> dict:
-    return {
-        "a": _triple_json(act.a),
-        "b": _triple_json(act.b),
-        "p": _triple_json(act.p),
-        "q": _triple_json(act.q),
-    }
+    if isinstance(value, _MOVES):
+        fields = {f.name: _json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        return {"kind": type(value).__name__, **fields}
+    raise TypeError(f"no JSON form for {value!r}")
 
 
 _EDGE_ART = r"""
@@ -170,17 +162,16 @@ def _run_analyze7(args) -> tuple[dict, list, list]:
     except ValueError as exc:
         raise MalformedInput(str(exc)) from exc
     validity = validate7(act)
-    result = {"validity": validity.value}
     if validity is Validity.NOT_ORBIFOLD:
-        raise NotOrbifoldReport(result)
-    result["vertex_groups"] = {
-        PERM_NAMES[sig]: _group_json(gamma7(act, sig)) for sig in VERTEX_ORDER
+        raise NotOrbifoldReport({"validity": validity.value})
+    result = {
+        "validity": validity.value,
+        "vertex_groups": {PERM_NAMES[sig]: gamma7(act, sig) for sig in VERTEX_ORDER},
+        "positively_curved": positive7(act),
+        "almost_positively_curved": almost_positive7(act),
+        "cohomogeneity_one_d": cohom1_match(act),
     }
-    result["positively_curved"] = positive7(act)
-    result["almost_positively_curved"] = almost_positive7(act)
-    match = cohom1_match(act)
-    result["cohomogeneity_one_d"] = _istr(match) if match is not None else None
-    return result, [], []
+    return _json(result), [], []
 
 
 def _parse_action6(args) -> TorusAction6:
@@ -195,28 +186,23 @@ def _parse_action6(args) -> TorusAction6:
 def _run_analyze6(args) -> tuple[dict, list, list]:
     act = _parse_action6(args)
     validity = validate6(act)
-    result = {"validity": validity.value}
     if validity is not Validity.ORBIFOLD:
-        raise NotOrbifoldReport(result)
-    trace = []
-    warnings = []
+        raise NotOrbifoldReport({"validity": validity.value})
     kernel = kernel_of_action(act)
-    result["action_kernel"] = _group_json(kernel)
     if not kernel.is_finite:
-        result["validity"] = "Degenerate"
-        raise NotOrbifoldReport(result)
+        raise NotOrbifoldReport(_json({"validity": "Degenerate", "action_kernel": kernel}))
+    result = {"validity": validity.value, "action_kernel": kernel}
+    moves = []
+    warnings = []
     if not kernel.is_trivial:
         act, moves = effectivize(act)
-        trace = [_move_json(m) for m in moves]
         warnings.append("action was ineffective; analyzed the effectivized action")
-        result["effectivized_action"] = _action_json(act)
+        result["effectivized_action"] = act
     rep = singular_report(act)
-    result["vertex_groups"] = {
-        PERM_NAMES[sig]: _group_json(rep.vertices[sig]) for sig in VERTEX_ORDER
-    }
+    result["vertex_groups"] = {PERM_NAMES[sig]: rep.vertices[sig] for sig in VERTEX_ORDER}
     result["edge_groups"] = {
         f"L{i}{j}": {
-            "group": _group_json(rep.edges[(i, j)].group),
+            "group": rep.edges[(i, j)].group,
             "endpoints": [PERM_NAMES[s] for s in rep.edges[(i, j)].endpoints],
         }
         for (i, j) in EDGE_ORDER
@@ -227,14 +213,12 @@ def _run_analyze6(args) -> tuple[dict, list, list]:
     result["singular_edges"] = [
         f"L{i}{j}" for (i, j) in EDGE_ORDER if (i, j) in rep.singular_edges()
     ]
-    result["group_multiset"] = [
-        {"d1": _istr(d1), "d2": _istr(d2)} for d1, d2 in rep.group_multiset()
-    ]
+    result["group_multiset"] = [{"d1": d1, "d2": d2} for d1, d2 in rep.group_multiset()]
     result["hexagon"] = _hexagon(
         {sig: str(rep.vertices[sig]) for sig in VERTEX_ORDER},
         {ij: str(rep.edges[ij].group) for ij in EDGE_ORDER},
     )
-    return result, trace, warnings
+    return _json(result), _json(moves), warnings
 
 
 def _run_cohom1(args) -> tuple[dict, list, list]:
@@ -249,23 +233,20 @@ def _run_cohom1(args) -> tuple[dict, list, list]:
     except ValueError as exc:
         raise NotOrbifoldReport({"validity": "NotOrbifold", "detail": str(exc)}) from exc
     result = {
-        "d": _istr(params.d),
+        "d": params.d,
         "parameters": {
-            "alpha": _istr(params.alpha),
-            "beta": _istr(params.beta),
-            "gamma": _istr(params.gamma),
-            "delta": _istr(params.delta),
-            "epsilon": _istr(params.epsilon),
+            "alpha": params.alpha,
+            "beta": params.beta,
+            "gamma": params.gamma,
+            "delta": params.delta,
+            "epsilon": params.epsilon,
         },
         "vertex_orders": {
-            PERM_NAMES[sig]: _istr(n)
-            for sig, n in zip(VERTEX_ORDER, tables.vertex_orders)
+            PERM_NAMES[sig]: n for sig, n in zip(VERTEX_ORDER, tables.vertex_orders)
         },
-        "edge_orders": {
-            f"L{i}{j}": _istr(tables.edge_orders[(i, j)]) for (i, j) in EDGE_ORDER
-        },
+        "edge_orders": {f"L{i}{j}": tables.edge_orders[(i, j)] for (i, j) in EDGE_ORDER},
         "noncyclic_edges": [f"L{i}{j}" for (i, j) in tables.noncyclic_edges],
-        "effectivized": {"a": _triple_json(eff_a), "b": _triple_json(eff_b)},
+        "effectivized": {"a": eff_a, "b": eff_b},
         "hexagon": _hexagon(
             {
                 sig: f"order {n}"
@@ -274,7 +255,7 @@ def _run_cohom1(args) -> tuple[dict, list, list]:
             {ij: f"order {tables.edge_orders[ij]}" for ij in EDGE_ORDER},
         ),
     }
-    return result, [], []
+    return _json(result), [], []
 
 
 def _run_poscurv(args) -> tuple[dict, list, list]:
@@ -286,34 +267,32 @@ def _run_poscurv(args) -> tuple[dict, list, list]:
     if witness is not None:
         result = {
             "positively_curved": False,
-            "flat_witness": {
-                "kind": witness.kind,
-                "t": _frac_json(witness.t) if witness.t is not None else None,
-                "eta": [_frac_json(e) for e in witness.eta],
-            },
+            "flat_witness": {"kind": witness.kind, "t": witness.t, "eta": witness.eta},
             "circle": None,
         }
-        return result, [], warnings
+        return _json(result), [], warnings
     result = {"positively_curved": True, "flat_witness": None}
     try:
         combo = find_circle(act, bound=args.bound)
     except ExhaustedBound as exc:
         warnings.append(str(exc))
         result["circle"] = None
-        return result, [], warnings
+        return _json(result), [], warnings
+    except ValueError as exc:
+        raise MalformedInput(str(exc)) from exc
     circle = combo.circle(act)
     result["circle"] = {
-        "lam": _istr(combo.lam),
-        "mu": _istr(combo.mu),
-        "p": _triple_json(circle.p),
-        "q": _triple_json(circle.q),
+        "lam": combo.lam,
+        "mu": combo.mu,
+        "p": circle.p,
+        "q": circle.q,
         "positively_curved_7d": positive7(circle),
     }
     result["input_circles_positive_7d"] = {
         "pq": positive7(CircleAction7(p=act.p, q=act.q)),
         "ab": positive7(CircleAction7(p=act.a, q=act.b)),
     }
-    return result, [], warnings
+    return _json(result), [], warnings
 
 
 def _run_normalize(args) -> tuple[dict, list, list]:
@@ -322,23 +301,20 @@ def _run_normalize(args) -> tuple[dict, list, list]:
         raise NotOrbifoldReport({"validity": "NotOrbifold"})
     kernel = kernel_of_action(act)
     if not kernel.is_finite:
-        raise NotOrbifoldReport(
-            {"validity": "Degenerate", "action_kernel": _group_json(kernel)}
-        )
+        raise NotOrbifoldReport(_json({"validity": "Degenerate", "action_kernel": kernel}))
     eff, moves = effectivize(act)
     repar = repar_normal_form(eff)
-    trace = [_move_json(m) for m in moves]
     result = {
-        "action_kernel": _group_json(kernel),
-        "effectivized_action": _action_json(eff),
+        "action_kernel": kernel,
+        "effectivized_action": eff,
         "normal_form": {
             "case": repar.case,
-            "n": _istr(repar.n) if repar.n is not None else None,
-            "action": _action_json(repar.transformed),
-            "moves": [_move_json(m) for m in repar.moves],
+            "n": repar.n,
+            "action": repar.transformed,
+            "moves": repar.moves,
         },
     }
-    return result, trace, []
+    return _json(result), _json(moves), []
 
 
 def _run_wu(args) -> tuple[dict, list, list]:
@@ -346,15 +322,15 @@ def _run_wu(args) -> tuple[dict, list, list]:
         rep = wu_quotient(args.p, args.q)
     except ValueError as exc:
         raise MalformedInput(str(exc)) from exc
-    result = {
+    result = _json({
         "valid": rep.valid,
-        "isolated_point_orders": [_istr(n) for n in rep.isolated_points],
+        "isolated_point_orders": rep.isolated_points,
         "rp2": {
-            "generic_order": _istr(rep.rp2.generic_order),
-            "distinguished_point_order": _istr(rep.rp2.distinguished_point_order),
+            "generic_order": rep.rp2.generic_order,
+            "distinguished_point_order": rep.rp2.distinguished_point_order,
             "larger": rep.rp2.larger,
         },
-    }
+    })
     if not rep.valid:
         raise NotOrbifoldReport(result)
     return result, [], []
@@ -365,7 +341,7 @@ def _run_wcp(args) -> tuple[dict, list, list]:
         w = weighted_cp(args.p, args.q, args.r)
     except (ZeroWeightError, NotPrimitiveError) as exc:
         raise MalformedInput(f"{type(exc).__name__}: {exc}") from exc
-    return {"weights": [_istr(x) for x in w.weights]}, [], []
+    return _json({"weights": w.weights}), [], []
 
 
 def _run_o5_verify(args) -> tuple[dict, list, list]:

@@ -15,8 +15,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .lattice import Equality, RationalWitness, feasibility, snf2
-from .eschenburg7 import CircleAction7, Validity, Weight3, positive7
+from .lattice import Equality, ext_gcd, feasibility, snf2x2
+from .eschenburg7 import CircleAction7, Validity, positive7
 from .eschenburg6 import (
     GL2Z,
     EquivalenceMove,
@@ -26,7 +26,6 @@ from .eschenburg6 import (
     apply_equivalence,
     validate6,
 )
-from .lattice import _ext_gcd
 
 
 @dataclass(frozen=True)
@@ -137,8 +136,11 @@ def find_circle(act: TorusAction6, bound: int = 100) -> Optional[CircleCombo]:
     not positively curved: any positively curved circle inside the torus
     would force positivity of the quotient by Riemannian submersion.
     Otherwise searches coprime (lam, mu) in a deterministic order and
-    raises ExhaustedBound if none works within the bound.
+    raises ExhaustedBound if none works within the bound.  A bound below
+    1 raises ValueError.
     """
+    if bound < 1:
+        raise ValueError(f"circle search bound must be at least 1, got {bound}")
     if flat_witness(act) is not None:
         return None
     for lam, mu in _candidates(bound):
@@ -169,63 +171,13 @@ class ReparCase:
     moves: tuple[EquivalenceMove, ...]
 
 
-def _snf2x2_full(m):
-    """U, D, V with m = U @ D @ V, U and V unimodular, D diagonal."""
-    a = [list(r) for r in m]
-    rops = [[1, 0], [0, 1]]  # accumulated row ops: a = rops_total @ m_orig ...
-    cops = [[1, 0], [0, 1]]
-
-    def colop(al, be, ga, de):
-        for mat in (a, cops):
-            for row in mat:
-                r0, r1 = row
-                row[0] = al * r0 + be * r1
-                row[1] = ga * r0 + de * r1
-
-    def rowop(t00, t01, t10, t11):
-        for mat in (a, rops):
-            r0 = [t00 * mat[0][0] + t01 * mat[1][0], t00 * mat[0][1] + t01 * mat[1][1]]
-            r1 = [t10 * mat[0][0] + t11 * mat[1][0], t10 * mat[0][1] + t11 * mat[1][1]]
-            mat[0], mat[1] = r0, r1
-
-    for _ in range(200):
-        if a[0][1] != 0:
-            if a[0][0] == 0:
-                colop(0, 1, 1, 0)
-            elif a[0][1] % a[0][0] == 0:
-                colop(1, 0, -(a[0][1] // a[0][0]), 1)
-            else:
-                g, x, y = _ext_gcd(a[0][0], a[0][1])
-                colop(x, y, -(a[0][1] // g), a[0][0] // g)
-        if a[1][0] != 0:
-            if a[0][0] == 0:
-                rowop(0, 1, 1, 0)
-            elif a[1][0] % a[0][0] == 0:
-                f = a[1][0] // a[0][0]
-                rowop(1, 0, -f, 1)
-            else:
-                g, x, y = _ext_gcd(a[0][0], a[1][0])
-                p, q = a[1][0] // g, a[0][0] // g
-                rowop(x, y, -p, q)
-        if a[0][1] == 0 and a[1][0] == 0:
-            # m = U D V with U = rops^{-1}, V = cops^{-1}
-            det_r = rops[0][0] * rops[1][1] - rops[0][1] * rops[1][0]
-            det_c = cops[0][0] * cops[1][1] - cops[0][1] * cops[1][0]
-            u = [[det_r * rops[1][1], -det_r * rops[0][1]],
-                 [-det_r * rops[1][0], det_r * rops[0][0]]]
-            v = [[det_c * cops[1][1], -det_c * cops[0][1]],
-                 [-det_c * cops[1][0], det_c * cops[0][0]]]
-            return u, a, v
-    raise RuntimeError("matrix reduction did not terminate")  # pragma: no cover
-
-
 def _apply_integer_matrix(
     act: TorusAction6, m
 ) -> tuple[TorusAction6, list[EquivalenceMove]]:
     """Replace the circles by the integer combinations given by m
     (nonzero determinant), decomposed into unimodular moves and integer
     circle scalings.  The subgroup generated is unchanged."""
-    u, d, v = _snf2x2_full(m)
+    u, d, v = snf2x2(m)
     moves: list[EquivalenceMove] = [
         GL2Z((tuple(v[0]), tuple(v[1]))),
         Scale(Fraction(d[0][0]), Fraction(d[1][1])),
@@ -263,7 +215,7 @@ def repar_normal_form(act: TorusAction6) -> ReparCase:
             i = 1 if (a[1], p[1]) != (0, 0) else 2
             g = gcd(a[i], p[i])
             mn = (a[i] // g, -p[i] // g)
-        g, x, y = _ext_gcd(mn[0], mn[1])
+        g, x, y = ext_gcd(mn[0], mn[1])
         assert g == 1
         mv = GL2Z(((mn[0], mn[1]), (-y, x)))
         cur = apply_equivalence(cur, mv)

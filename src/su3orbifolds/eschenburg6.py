@@ -13,12 +13,12 @@ p = (1,1,d), q = (0,0,d+2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Union
+from typing import Union
 
-from .lattice import AbelianGroup2, kernel_group, kernel_generator
+from .lattice import AbelianGroup2, ext_gcd, kernel_group, kernel_generator
 from .eschenburg7 import (
     ALL_PERMS,
     CYCLE_123,
@@ -33,7 +33,6 @@ from .eschenburg7 import (
     Weight3,
     permute,
 )
-from .lattice import _ext_gcd
 
 # Vertex listing order used by all tables and reports.
 VERTEX_ORDER: tuple[Permutation3, ...] = (
@@ -158,7 +157,6 @@ class SingularLocusReport:
     vertices: dict[Permutation3, AbelianGroup2]
     edges: dict[tuple[int, int], EdgeReport]
     effective: bool
-    valid: bool
 
     def singular_vertices(self) -> dict[Permutation3, AbelianGroup2]:
         return {s: g for s, g in self.vertices.items() if not g.is_trivial}
@@ -191,9 +189,7 @@ def singular_report(act: TorusAction6) -> SingularLocusReport:
         if any(vertices[s].order % group.order != 0 for s in endpoints):
             raise RuntimeError(f"stratum group does not divide endpoints at L_{e}")
         edges[e] = EdgeReport(group, endpoints)
-    return SingularLocusReport(
-        vertices=vertices, edges=edges, effective=was_effective, valid=True
-    )
+    return SingularLocusReport(vertices=vertices, edges=edges, effective=was_effective)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +344,7 @@ def effectivize(act: TorusAction6) -> tuple[TorusAction6, list[EquivalenceMove]]
         k, l, n = kernel_generator(_kernel_rows(current))
         # (u, s) = (k/n, l/n); pick new circle generators so this element
         # becomes a 1/n rotation of the first circle alone
-        g, x, y = _ext_gcd(l, k)
+        g, x, y = ext_gcd(l, k)
         assert g == 1
         move: EquivalenceMove = GL2Z(((l, k), (-y, x)))
         current = apply_equivalence(current, move)
@@ -394,7 +390,12 @@ class Cohom1Params:
 
 
 def cohom1_params(d: int, a: Weight3, b: Weight3) -> Cohom1Params:
-    """Normalize arbitrary second-circle weights to the a_3 = 0 gauge."""
+    """Normalize arbitrary second-circle weights to the a_3 = 0 gauge.
+
+    The family is indexed by d >= 0; a negative d raises ValueError.
+    """
+    if d < 0:
+        raise ValueError(f"the family requires d >= 0, got d={d}")
     a = tuple(int(x) for x in a)
     b = tuple(int(x) for x in b)
     if sum(a) != sum(b):

@@ -85,7 +85,7 @@ def snf2(rows: Sequence[Row]) -> tuple[int, int]:
     return d1, minors // d1
 
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with a*x + b*y = g = gcd(a, b), g >= 0."""
     old_r, r = a, b
     old_x, x = 1, 0
@@ -107,7 +107,7 @@ def row_lattice_basis(rows: Sequence[Row]) -> tuple[int, int, int]:
         x, y = int(x), int(y)
         if a != 0:
             if x != 0:
-                g, u, v = _ext_gcd(a, x)
+                g, u, v = ext_gcd(a, x)
                 leftover = (a * y - x * b) // g
                 a, b = g, u * b + v * y
                 c = gcd(c, leftover)
@@ -123,22 +123,40 @@ def row_lattice_basis(rows: Sequence[Row]) -> tuple[int, int, int]:
     return a, b, abs(c)
 
 
-def _snf2x2(b: Sequence[Sequence[int]]) -> tuple[int, int, list[list[int]]]:
-    """SNF of a 2x2 integer matrix B.
+Matrix2 = list[list[int]]
 
-    Returns (d1, d2, T) with T unimodular such that the solutions of
-    B x in Z^2 are exactly { T (k/d1, l/d2) : k, l in Z } (for d1, d2 > 0).
+
+def _unimodular_inverse(m: Matrix2) -> Matrix2:
+    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]  # +-1, its own inverse
+    return [[det * m[1][1], -det * m[0][1]], [-det * m[1][0], det * m[0][0]]]
+
+
+def snf2x2(m: Sequence[Sequence[int]]) -> tuple[Matrix2, Matrix2, Matrix2]:
+    """Diagonalize a 2x2 integer matrix: m = U @ D @ V.
+
+    U and V are unimodular and D is diagonal.  The entries of D keep their
+    signs and need not divide each other; `_solution_lattice` completes
+    the Smith form.  Column steps clear D[0][1] and row steps clear
+    D[1][0] (a swap, an exact shear, or an extended-gcd rotation), in
+    alternation until both vanish.
     """
-    a = [[int(b[0][0]), int(b[0][1])], [int(b[1][0]), int(b[1][1])]]
-    t = [[1, 0], [0, 1]]
+    a = [[int(m[0][0]), int(m[0][1])], [int(m[1][0]), int(m[1][1])]]
+    rops = [[1, 0], [0, 1]]  # a == rops @ m @ cops throughout
+    cops = [[1, 0], [0, 1]]
 
     def colop(al, be, ga, de):
         # (col0, col1) <- (al*col0 + be*col1, ga*col0 + de*col1)
-        for m in (a, t):
-            for row in m:
+        for mat in (a, cops):
+            for row in mat:
                 r0, r1 = row
                 row[0] = al * r0 + be * r1
                 row[1] = ga * r0 + de * r1
+
+    def rowop(t00, t01, t10, t11):
+        for mat in (a, rops):
+            r0 = [t00 * mat[0][0] + t01 * mat[1][0], t00 * mat[0][1] + t01 * mat[1][1]]
+            r1 = [t10 * mat[0][0] + t11 * mat[1][0], t10 * mat[0][1] + t11 * mat[1][1]]
+            mat[0], mat[1] = r0, r1
 
     for _ in range(200):
         if a[0][1] != 0:
@@ -148,44 +166,43 @@ def _snf2x2(b: Sequence[Sequence[int]]) -> tuple[int, int, list[list[int]]]:
                 # shear keeps the pivot and cannot regrow cleared entries
                 colop(1, 0, -(a[0][1] // a[0][0]), 1)
             else:
-                g, x, y = _ext_gcd(a[0][0], a[0][1])
+                g, x, y = ext_gcd(a[0][0], a[0][1])
                 colop(x, y, -(a[0][1] // g), a[0][0] // g)
         if a[1][0] != 0:
             if a[0][0] == 0:
-                a[0], a[1] = a[1], a[0]
+                rowop(0, 1, 1, 0)
             elif a[1][0] % a[0][0] == 0:
-                f = a[1][0] // a[0][0]
-                a[1] = [a[1][0] - f * a[0][0], a[1][1] - f * a[0][1]]
+                rowop(1, 0, -(a[1][0] // a[0][0]), 1)
             else:
-                g, x, y = _ext_gcd(a[0][0], a[1][0])
-                r0 = [x * a[0][0] + y * a[1][0], x * a[0][1] + y * a[1][1]]
-                p, q = a[1][0] // g, a[0][0] // g
-                r1 = [-p * a[0][0] + q * a[1][0], -p * a[0][1] + q * a[1][1]]
-                a = [r0, r1]
+                g, x, y = ext_gcd(a[0][0], a[1][0])
+                rowop(x, y, -(a[1][0] // g), a[0][0] // g)
         if a[0][1] == 0 and a[1][0] == 0:
-            d1, d2 = abs(a[0][0]), abs(a[1][1])
-            if d1 and d2 and d2 % d1 != 0:
-                # couple the diagonal entries (row op) and reduce again
-                a[0] = [a[0][0] + a[1][0], a[0][1] + a[1][1]]
-                continue
-            if d1 == 0 and d2 != 0:
-                d1, d2 = d2, d1
-            return d1, d2, t
+            return _unimodular_inverse(rops), a, _unimodular_inverse(cops)
     raise RuntimeError("SNF reduction did not terminate")  # pragma: no cover
 
 
-def _solution_lattice(rows: Sequence[Row]) -> tuple[int, int, list[list[int]]]:
+def _solution_lattice(rows: Sequence[Row]) -> tuple[int, int, Matrix2]:
     """Describe {x in R^2 : M x in Z^r for all rows} modulo Z^2.
 
-    Returns (d1, d2, T) with the solutions being { T (k/d1, l/d2) } for a
-    unimodular 2x2 matrix T.  Raises if the solution set is not finite
-    modulo Z^2 (rank-deficient relation matrix).
+    Returns (d1, d2, T) with d1 | d2 and the solutions being
+    { T (k/d1, l/d2) } for a unimodular 2x2 matrix T.  Raises if the
+    solution set is not finite modulo Z^2 (rank-deficient relation matrix).
     """
     a, b, c = row_lattice_basis(rows)
     if a == 0 or c == 0:
         raise ValueError("kernel is infinite")
-    d1, d2, t = _snf2x2([[a, b], [0, c]])
-    return d1, d2, t
+    m = [[a, b], [0, c]]
+    t = [[1, 0], [0, 1]]  # accumulated column operations
+    while True:
+        _u, d, v = snf2x2(m)
+        cops = _unimodular_inverse(v)
+        t = [[sum(t[i][k] * cops[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+        d1, d2 = abs(d[0][0]), abs(d[1][1])
+        if d2 % d1 == 0:
+            return d1, d2, t
+        # couple the diagonal entries (row op) and reduce again; the new d1
+        # is gcd(d1, d2) < d1, so the loop ends
+        m = [[d[0][0], d[1][1]], [0, d[1][1]]]
 
 
 def kernel_group(rows: Sequence[Row]) -> AbelianGroup2:

@@ -31,7 +31,6 @@ from .su3 import (
     flatness,
     haar_su3,
     horizontal_basis_O5,
-    inner,
     inner_nu,
     norm2,
     project_K,
@@ -42,6 +41,12 @@ from .su3 import (
 
 class CertificateError(RuntimeError):
     """An analytic certificate failed its residual tolerance."""
+
+
+# Residual bounds of the analytic flat-plane certificate: exceeding them
+# raises in flat_plane_at_torus and fails the torus gate of o5_verify.
+CERT_FLATNESS_BOUND = 1e-18
+CERT_HORIZONTALITY_BOUND = 1e-10
 
 
 def torus_point(s: float, theta: float) -> np.ndarray:
@@ -105,7 +110,8 @@ def flat_plane_at_torus(
 
     The plane is spanned by A = diag(i,i,-2i) and an explicit block
     matrix B; the certificate records the flatness and horizontality
-    residuals and raises if they exceed 1e-18 and 1e-10 respectively.
+    residuals and raises if they reach CERT_FLATNESS_BOUND and
+    CERT_HORIZONTALITY_BOUND respectively.
     """
     g = torus_point(s, theta)
     # block entries of g and the solution of aa*z + 3*bb^2*conj(z) = 0
@@ -121,7 +127,7 @@ def flat_plane_at_torus(
         _vertical_component_norm(a, g, m) / sqrt(norm2(a)),
         _vertical_component_norm(b, g, m) / sqrt(norm2(b)),
     )
-    if flat >= 1e-18 or horiz >= 1e-10:
+    if flat >= CERT_FLATNESS_BOUND or horiz >= CERT_HORIZONTALITY_BOUND:
         raise CertificateError(
             f"flat-plane certificate failed: flatness {flat}, horizontality {horiz}"
         )
@@ -414,8 +420,13 @@ def o5_verify(
     (value < 1e-12) matching the analytic certificate, unique among
     near-zero restarts, tangent to the torus directions, and containing
     diag(i,i,-2i).  Deterministic given the seed: per-sample generators
-    are split by counter so evaluation order does not matter.
+    are split by counter so evaluation order does not matter.  Fewer
+    than one sample or restart raises ValueError.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     m = CheegerMetric(nu)
 
     off_count = 0
@@ -470,7 +481,11 @@ def o5_verify(
         )
 
     off_positive = off_count > 0 and off_floor > 0 and off_lb > 0
-    torus_flat = max_flat < 1e-12 and max_cert_flat < 1e-18 and max_horiz < 1e-10
+    torus_flat = (
+        max_flat < 1e-12
+        and max_cert_flat < CERT_FLATNESS_BOUND
+        and max_horiz < CERT_HORIZONTALITY_BOUND
+    )
     uniq_ok = uniq_checked > 0 and uniq_max < 1e-3
     tang_ok = tang_max < 1e-4 and max_angle < 1e-4
     cont_ok = cont_max < 1e-10

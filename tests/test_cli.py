@@ -7,10 +7,14 @@ import json
 from contextlib import redirect_stdout
 from pathlib import Path
 
+from fractions import Fraction
+
 import jsonschema
 import pytest
 
-from su3orbifolds.cli import run
+from su3orbifolds.cli import _json, run
+from su3orbifolds.eschenburg6 import GL2Z, Permute, Scale, Shift, Swap
+from su3orbifolds.eschenburg7 import CYCLE_123, SWAP_12
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "src" / "su3orbifolds" / "report_schema.json").read_text()
@@ -115,6 +119,11 @@ class TestCohom1:
         code, _ = run_json("cohom1", "--d", "3", "--a", "0,0,0", "--b", "0,0,0")
         assert code == 2
 
+    def test_negative_d_exit1(self):
+        code, rep = run_json("cohom1", "--d", "-3", "--a", "3,1,0", "--b", "0,0,4")
+        assert code == 1
+        assert rep["warnings"] == ["malformed input: the family requires d >= 0, got d=-3"]
+
 
 class TestPoscurv:
     ARGS = (
@@ -146,6 +155,13 @@ class TestPoscurv:
             assert w["kind"] in ("Condition1", "Condition2")
             assert len(w["eta"]) == 3
             assert res["circle"] is None
+
+    def test_negative_bound_exit1(self):
+        code, rep = run_json(*self.ARGS, "--bound", "-1")
+        assert code == 1
+        assert rep["warnings"] == [
+            "malformed input: circle search bound must be at least 1, got -1"
+        ]
 
 
 class TestNormalize:
@@ -214,6 +230,17 @@ class TestO5Verify:
         _, out2 = run_cli(*self.ARGS, "--json")
         assert out1 == out2
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_no_samples_exit1(self, samples):
+        code, rep = run_json("o5-verify", "--samples", samples)
+        assert code == 1
+        assert rep["warnings"] == [f"malformed input: samples must be at least 1, got {samples}"]
+
+    def test_no_restarts_exit1(self):
+        code, rep = run_json("o5-verify", "--restarts", "0")
+        assert code == 1
+        assert rep["warnings"] == ["malformed input: restarts must be at least 1, got 0"]
+
 
 class TestParsing:
     def test_global_flag_after_subcommand(self):
@@ -232,3 +259,28 @@ class TestParsing:
     def test_missing_argument_exit1(self):
         code, _ = run_cli("analyze7", "--p", "1,1,0")
         assert code == 1
+
+
+class TestReportValues:
+    def test_move_forms(self):
+        # Swap and Permute are never emitted by the subcommands; pin their
+        # report form with the others
+        assert _json(Swap()) == {"kind": "Swap"}
+        assert _json(Scale(Fraction(-1, 2), 3)) == {"kind": "Scale", "lam": "-1/2", "mu": "3"}
+        assert _json(Shift(2, -5)) == {"kind": "Shift", "c": "2", "d": "-5"}
+        assert _json(Permute(SWAP_12, CYCLE_123)) == {
+            "kind": "Permute",
+            "sigma": "(12)",
+            "tau": "(123)",
+        }
+        assert _json(GL2Z(((1, 0), (-3, 1)))) == {
+            "kind": "GL2Z",
+            "m": [["1", "0"], ["-3", "1"]],
+        }
+
+    def test_scalars(self):
+        assert _json([None, True, "x", 0.5, -(10**40), Fraction(4, 2)]) == [
+            None, True, "x", 0.5, "-1" + "0" * 40, "2"
+        ]
+        with pytest.raises(TypeError):
+            _json(object())

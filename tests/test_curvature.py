@@ -11,7 +11,6 @@ from su3orbifolds.curvature import (
     CircleCombo,
     ExhaustedBound,
     FlatWitness,
-    _snf2x2_full,
     _system1,
     _system2,
     find_circle,
@@ -134,28 +133,6 @@ class TestFindCircle:
     def test_coprimality_enforced(self):
         with pytest.raises(ValueError):
             CircleCombo(2, 4)
-
-
-class TestSnf2x2Full:
-    def test_factorization_property(self):
-        rng = random.Random(97)
-        for _ in range(200):
-            m = [[rng.randint(-9, 9) for _ in range(2)] for _ in range(2)]
-            u, d, v = _snf2x2_full(m)
-            assert d[0][1] == 0 and d[1][0] == 0
-            for mat in (u, v):
-                det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-                assert det in (1, -1)
-            # m == u @ d @ v
-            ud = [
-                [sum(u[i][k] * d[k][j] for k in range(2)) for j in range(2)]
-                for i in range(2)
-            ]
-            udv = [
-                [sum(ud[i][k] * v[k][j] for k in range(2)) for j in range(2)]
-                for i in range(2)
-            ]
-            assert udv == [list(r) for r in m]
 
 
 class TestReparNormalForm:

@@ -6,15 +6,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from su3orbifolds.lattice import (
     AbelianGroup2,
     TRIVIAL_GROUP,
+    _solution_lattice,
     feasibility,
     kernel_elements,
     kernel_generator,
     kernel_group,
     snf2,
+    snf2x2,
 )
 
 from oracles import grid_feasible, torsion_profile_matches
@@ -60,6 +63,42 @@ class TestSnf2:
                 assert snf2(mixed) == base
             rng.shuffle(rows)
             assert snf2(rows) == base
+
+
+SMALL = st.integers(-12, 12)
+HUGE = st.integers(10**29, 10**40 - 1) | st.integers(-(10**40 - 1), -(10**29))
+ENTRIES = SMALL | HUGE | st.just(0)  # 30-40 digit entries, mixed with small ones
+MATRICES = st.lists(st.lists(ENTRIES, min_size=2, max_size=2), min_size=2, max_size=2)
+POSITIVE = st.integers(1, 12) | st.integers(10**29, 10**40 - 1)
+
+
+def _matmul(x, y):
+    return [[sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+
+
+def _det(m):
+    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+
+class TestSnf2x2:
+    @given(MATRICES)
+    def test_factorization_property(self, m):
+        u, d, v = snf2x2(m)
+        assert d[0][1] == 0 and d[1][0] == 0
+        assert _det(u) in (1, -1) and _det(v) in (1, -1)
+        assert _matmul(_matmul(u, d), v) == m
+
+    @given(POSITIVE, SMALL | HUGE, POSITIVE)
+    def test_smith_completion(self, a, b, c):
+        rows = [(a, b), (0, c)]
+        d1, d2, t = _solution_lattice(rows)
+        assert d2 % d1 == 0
+        assert (d1, d2) == snf2(rows)
+        # the solutions of M x in Z^2 are exactly T (k/d1, l/d2)
+        assert _det(t) in (1, -1)
+        for r in rows:
+            assert (r[0] * t[0][0] + r[1] * t[1][0]) % d1 == 0
+            assert (r[0] * t[0][1] + r[1] * t[1][1]) % d2 == 0
 
 
 class TestKernelGroup:
