@@ -61,10 +61,6 @@ class MalformedInput(ValueError):
     """Input that fails parsing or a stated precondition."""
 
 
-class NotOrbifoldInput(ValueError):
-    """Well-formed input defining a non-orbifold or degenerate action."""
-
-
 def _triple(text: str) -> tuple[int, int, int]:
     parts = text.split(",")
     if len(parts) != 3:
@@ -262,6 +258,9 @@ def _run_poscurv(args) -> tuple[dict, list, list]:
     act = _parse_action6(args)
     if validate6(act) is not Validity.ORBIFOLD:
         raise NotOrbifoldReport({"validity": "NotOrbifold"})
+    # checked here, not only by find_circle, so a flat quotient rejects it too
+    if args.bound < 1:
+        raise MalformedInput(f"circle search bound must be at least 1, got {args.bound}")
     warnings = []
     witness = flat_witness(act)
     if witness is not None:
@@ -278,8 +277,6 @@ def _run_poscurv(args) -> tuple[dict, list, list]:
         warnings.append(str(exc))
         result["circle"] = None
         return _json(result), [], warnings
-    except ValueError as exc:
-        raise MalformedInput(str(exc)) from exc
     circle = combo.circle(act)
     result["circle"] = {
         "lam": combo.lam,

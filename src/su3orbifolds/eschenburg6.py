@@ -178,8 +178,7 @@ def singular_report(act: TorusAction6) -> SingularLocusReport:
     removed first; the `effective` flag records whether the input
     already acted effectively.
     """
-    was_effective = kernel_of_action(act).is_trivial
-    eff, _moves = effectivize(act)
+    eff, moves = effectivize(act)
     if validate6(eff) is not Validity.ORBIFOLD:
         raise ValueError("not an orbifold action")
     vertices = {s: gamma6(eff, s) for s in ALL_PERMS}
@@ -189,7 +188,7 @@ def singular_report(act: TorusAction6) -> SingularLocusReport:
         if any(vertices[s].order % group.order != 0 for s in endpoints):
             raise RuntimeError(f"stratum group does not divide endpoints at L_{e}")
         edges[e] = EdgeReport(group, endpoints)
-    return SingularLocusReport(vertices=vertices, edges=edges, effective=was_effective)
+    return SingularLocusReport(vertices=vertices, edges=edges, effective=not moves)
 
 
 # ---------------------------------------------------------------------------
@@ -482,19 +481,18 @@ def effectivize_cohom1(d: int, a: Weight3, b: Weight3) -> tuple[Weight3, Weight3
         raise ValueError("degenerate second circle")
     if k == 1:
         return tuple(a), tuple(b)
-    # choose the shear multiple r so every entry becomes divisible by k
-    for r in range(k):
-        na = (al + r * 1, be + r * 1, r * d)
-        nb = (ga + r * 0, de + r * 0, params.epsilon + r * (d + 2))
-        shift = -r * d
-        na = tuple(x + shift for x in na)
-        nb = tuple(x + shift for x in nb)
-        if all(x % k == 0 for x in na + nb):
-            na = tuple(x // k for x in na)
-            nb = tuple(x // k for x in nb)
-            act = TorusAction6(a=na, b=nb, p=(1, 1, d), q=(0, 0, d + 2))
-            if kernel_of_action(act).is_trivial:
-                return na, nb
+    # shear by r times the first circle, then shift by -r*d; the first
+    # entries of a and b are both divisible by k only if r = gamma - alpha
+    # mod k, so that r is the only candidate
+    r = (ga - al) % k
+    na = (al + r - r * d, be + r - r * d, 0)
+    nb = (ga - r * d, de - r * d, params.epsilon + 2 * r)
+    if all(x % k == 0 for x in na + nb):
+        na = tuple(x // k for x in na)
+        nb = tuple(x // k for x in nb)
+        act = TorusAction6(a=na, b=nb, p=(1, 1, d), q=(0, 0, d + 2))
+        if kernel_of_action(act).is_trivial:
+            return na, nb
     raise RuntimeError("effectivization of the family action failed")
 
 

@@ -27,6 +27,7 @@ from .su3 import (
     K1,
     K2,
     Y3,
+    combine,
     coords,
     flatness,
     haar_su3,
@@ -47,6 +48,20 @@ class CertificateError(RuntimeError):
 # raises in flat_plane_at_torus and fails the torus gate of o5_verify.
 CERT_FLATNESS_BOUND = 1e-18
 CERT_HORIZONTALITY_BOUND = 1e-10
+
+# Gate thresholds of o5_verify (see its docstring for their roles).
+OFF_TORUS_DISTANCE = 0.05
+TORUS_FLATNESS_BOUND = 1e-12
+NEAR_ZERO_RESTART = 1e-10
+UNIQUENESS_ANGLE_BOUND = 1e-3
+TANGENCY_ANGLE_BOUND = 1e-4
+CONTAINMENT_BOUND = 1e-10
+
+# Fixed effort: alternating sweeps per restart of min_flatness, local
+# starts of distance_to_torus, largest rotation order of stabilizer_check.
+FLATNESS_SWEEPS = 40
+TORUS_STARTS = 4
+STABILIZER_MAX_ORDER = 12
 
 
 def torus_point(s: float, theta: float) -> np.ndarray:
@@ -156,8 +171,8 @@ class FlatnessSearch:
     a: np.ndarray
     b: np.ndarray
     restart_values: np.ndarray  # final value reached by every restart
-    restart_planes: np.ndarray  # (restarts, 2, 5) coefficient pairs
-    frame: np.ndarray  # (8, 5) horizontal coefficient frame
+    restart_planes: np.ndarray  # (restarts, 2, 5) coefficients in basis
+    basis: list[np.ndarray]  # the inner_nu-orthonormal horizontal basis
     lower_bound: float
 
 
@@ -233,7 +248,6 @@ def min_flatness(
     m: CheegerMetric,
     restarts: int = 64,
     seed: "int | np.random.SeedSequence" = 0,
-    iters: int = 40,
 ) -> FlatnessSearch:
     """Minimize the flatness functional over horizontal 2-planes at g.
 
@@ -246,15 +260,11 @@ def min_flatness(
     candidates.  Deterministic for a fixed seed (counter-based
     generator).
     """
-    h, frame = horizontal_basis_O5(g, m)
+    h, _ = horizontal_basis_O5(g, m)
     t = [[(h[i] @ h[j] - h[j] @ h[i]) for j in range(5)] for i in range(5)]
     hk = [project_K(x) for x in h]
     tk = [[(hk[i] @ hk[j] - hk[j] @ hk[i]) for j in range(5)] for i in range(5)]
-
-    def stack(mats):
-        return np.array(mats).reshape(5, 5, 9)
-
-    tf, tkf = stack(t), stack(tk)
+    tf, tkf = np.array(t).reshape(5, 5, 9), np.array(tk).reshape(5, 5, 9)
     # g4[a,b,c,d] = <[h_a,h_b],[h_c,h_d]> + (K-part term), exploiting
     # <X,Y> = Re tr(X Y^*) for skew-Hermitian X, Y
     g4 = np.einsum("abi,cdi->abcd", tf.conj(), tf).real
@@ -279,7 +289,7 @@ def min_flatness(
         vals, vecs = np.linalg.eigh(mm)
         return vecs[:, :, 0]
 
-    for _ in range(iters):
+    for _ in range(FLATNESS_SWEEPS):
         x = best_orthogonal(y)
         y = best_orthogonal(x)
 
@@ -327,21 +337,13 @@ def min_flatness(
                 if v <= values[i]:
                     x[i], y[i], values[i] = xs, ys, max(v, 0.0)
     best = int(np.argmin(values))
-    planes = np.stack([x, y], axis=1)
-
-    def mat(c):
-        out = np.zeros((3, 3), dtype=complex)
-        for ci, hi in zip(c, h):
-            out += ci * hi
-        return out
-
     return FlatnessSearch(
         value=float(values[best]),
-        a=mat(x[best]),
-        b=mat(y[best]),
+        a=combine(x[best], h),
+        b=combine(y[best], h),
         restart_values=values,
-        restart_planes=planes,
-        frame=frame,
+        restart_planes=np.stack([x, y], axis=1),
+        basis=h,
         lower_bound=lower_bound,
     )
 
@@ -399,10 +401,7 @@ class O5Verification:
 
 
 def _horizontal_projection(x, h, m: CheegerMetric) -> np.ndarray:
-    out = np.zeros((3, 3), dtype=complex)
-    for hi in h:
-        out += inner_nu(x, hi, m) * hi
-    return out
+    return combine([inner_nu(x, hi, m) for hi in h], h)
 
 
 def o5_verify(
@@ -415,13 +414,16 @@ def o5_verify(
     """Sampled verification that the deformed metric is almost positively
     curved with flat planes exactly along the parametrized torus.
 
-    Off-torus samples (quotient distance > 0.05) must have strictly
-    positive minimal flatness; torus points must carry a flat plane
-    (value < 1e-12) matching the analytic certificate, unique among
-    near-zero restarts, tangent to the torus directions, and containing
-    diag(i,i,-2i).  Deterministic given the seed: per-sample generators
-    are split by counter so evaluation order does not matter.  Fewer
-    than one sample or restart raises ValueError.
+    Off-torus samples (quotient distance > OFF_TORUS_DISTANCE) must have
+    strictly positive minimal flatness.  Torus points must carry a flat
+    plane (search value < TORUS_FLATNESS_BOUND) that matches the analytic
+    certificate and is tangent to the torus directions (both angles <
+    TANGENCY_ANGLE_BOUND), is unique among the restarts ending below
+    NEAR_ZERO_RESTART (angle < UNIQUENESS_ANGLE_BOUND), and contains
+    diag(i,i,-2i) (residual < CONTAINMENT_BOUND).  Deterministic given
+    the seed: per-sample generators are split by counter so evaluation
+    order does not matter.  Fewer than one sample or restart raises
+    ValueError.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -436,7 +438,7 @@ def o5_verify(
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(0, i))
         c_draw, c_search = ss.spawn(2)
         g = haar_su3(np.random.Generator(np.random.Philox(c_draw)))
-        if distance_to_torus(g) <= 0.05:
+        if distance_to_torus(g) <= OFF_TORUS_DISTANCE:
             continue
         off_count += 1
         res = min_flatness(g, m, restarts=restarts, seed=c_search)
@@ -446,9 +448,7 @@ def o5_verify(
     rng_t = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(1,))))
     max_flat = max_cert_flat = max_horiz = max_angle = 0.0
     uniq_checked = 0
-    uniq_max = 0.0
-    tang_max = 0.0
-    cont_max = 0.0
+    uniq_max = tang_max = cont_max = 0.0
     for j in range(torus_points):
         s, theta = rng_t.uniform(0, 2 * pi, 2)
         cert = flat_plane_at_torus(s, theta, m)
@@ -460,13 +460,13 @@ def o5_verify(
         max_horiz = max(max_horiz, cert.horizontality_residual)
         max_angle = max(max_angle, plane_angle((res.a, res.b), (cert.a, cert.b)))
 
-        h, _ = horizontal_basis_O5(g, m)
-        for k in np.nonzero(res.restart_values < 1e-10)[0]:
+        h = res.basis
+        for k in np.nonzero(res.restart_values < NEAR_ZERO_RESTART)[0]:
             xc, yc = res.restart_planes[k]
-            xm = sum(c * hi for c, hi in zip(xc, h))
-            ym = sum(c * hi for c, hi in zip(yc, h))
             uniq_checked += 1
-            uniq_max = max(uniq_max, plane_angle((xm, ym), (cert.a, cert.b)))
+            uniq_max = max(
+                uniq_max, plane_angle((combine(xc, h), combine(yc, h)), (cert.a, cert.b))
+            )
 
         t_theta, t_s = torus_tangents(s, theta)
         pair = (
@@ -482,13 +482,13 @@ def o5_verify(
 
     off_positive = off_count > 0 and off_floor > 0 and off_lb > 0
     torus_flat = (
-        max_flat < 1e-12
+        max_flat < TORUS_FLATNESS_BOUND
         and max_cert_flat < CERT_FLATNESS_BOUND
         and max_horiz < CERT_HORIZONTALITY_BOUND
     )
-    uniq_ok = uniq_checked > 0 and uniq_max < 1e-3
-    tang_ok = tang_max < 1e-4 and max_angle < 1e-4
-    cont_ok = cont_max < 1e-10
+    uniq_ok = uniq_checked > 0 and uniq_max < UNIQUENESS_ANGLE_BOUND
+    tang_ok = tang_max < TANGENCY_ANGLE_BOUND and max_angle < TANGENCY_ANGLE_BOUND
+    cont_ok = cont_max < CONTAINMENT_BOUND
     return O5Verification(
         nu=nu,
         samples=samples,
@@ -536,11 +536,12 @@ def _psi_pair(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return psi1, psi2
 
 
-def distance_to_torus(g: np.ndarray, starts: int = 4) -> float:
+def distance_to_torus(g: np.ndarray) -> float:
     """Frobenius distance, in the quotient, from g to the flat torus.
 
     Minimizes |psi1(h) t(s,theta) psi2(h)^{-1} - g| over the torus
-    parameters and the acting group, from a coarse grid of starts.
+    parameters and the acting group, from the TORUS_STARTS best points
+    of a coarse grid.
     """
 
     def objective(params):
@@ -556,7 +557,7 @@ def distance_to_torus(g: np.ndarray, starts: int = 4) -> float:
             coarse.append((objective([s, theta, 0, 0, 0]), s, theta))
     coarse.sort(key=lambda c: c[0])
     best = coarse[0][0]
-    for _, s, theta in coarse[:starts]:
+    for _, s, theta in coarse[:TORUS_STARTS]:
         res = minimize(
             objective,
             x0=np.array([s, theta, 0.0, 0.0, 0.0]),
@@ -580,22 +581,18 @@ def g_z(z: complex) -> np.ndarray:
     )
 
 
-def stabilizer_check(g: np.ndarray, orders: int = 12) -> int:
+def stabilizer_check(g: np.ndarray) -> int:
     """Count torus elements of the acting SU(2) that fix g.
 
     Enumerates h = exp(t I) for t = 2 pi k/n in lowest terms with
-    n <= orders (including t = 0) and counts those with
+    n <= STABILIZER_MAX_ORDER (including t = 0) and counts those with
     psi1(h) g psi2(h)^{-1} = g within 1e-9.
     """
     count = 0
-    seen = set()
-    for n in range(1, orders + 1):
+    for n in range(1, STABILIZER_MAX_ORDER + 1):
         for k in range(n):
-            if gcd(k, n) != 1 and not (k == 0 and n == 1):
+            if gcd(k, n) != 1:
                 continue
-            if (k, n) in seen:
-                continue
-            seen.add((k, n))
             t = 2 * pi * k / n
             psi1 = np.diag([np.exp(1j * t), np.exp(-1j * t), 1.0])
             psi2 = np.diag([np.exp(2j * t), np.exp(-2j * t), 1.0])

@@ -44,6 +44,14 @@ def bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y - y @ x
 
 
+def combine(coeffs, mats) -> np.ndarray:
+    """The linear combination sum_i coeffs[i] * mats[i], summed in order."""
+    out = np.zeros((3, 3), dtype=complex)
+    for c, m in zip(coeffs, mats):
+        out += c * m
+    return out
+
+
 def project_K(x: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto K = span{I2, J2, K2}."""
     out = np.zeros((3, 3), dtype=complex)
@@ -74,10 +82,14 @@ def is_su3(x: np.ndarray, tol: float = 1e-12) -> bool:
     )
 
 
-def is_special_unitary(g: np.ndarray, tol: float = 1e-12) -> bool:
+# entrywise tolerance of is_special_unitary
+UNITARY_TOL = 1e-12
+
+
+def is_special_unitary(g: np.ndarray) -> bool:
     return (
-        np.abs(g @ g.conj().T - np.eye(3)).max() < tol
-        and abs(np.linalg.det(g) - 1) < tol
+        np.abs(g @ g.conj().T - np.eye(3)).max() < UNITARY_TOL
+        and abs(np.linalg.det(g) - 1) < UNITARY_TOL
     )
 
 
@@ -113,11 +125,7 @@ def haar_su3(rng: np.random.Generator) -> np.ndarray:
 
 def random_su3_element(rng: np.random.Generator) -> np.ndarray:
     """Random element of su(3) with independent normal coefficients."""
-    c = rng.standard_normal(8)
-    out = np.zeros((3, 3), dtype=complex)
-    for ci, e in zip(c, su3_basis()):
-        out += ci * e
-    return out
+    return combine(rng.standard_normal(8), su3_basis())
 
 
 def vertical_basis_O5(g: np.ndarray) -> list[np.ndarray]:
@@ -151,13 +159,7 @@ def horizontal_basis_O5(
     gram = null.T @ gram_b @ null
     chol = np.linalg.cholesky(gram)
     frame = null @ np.linalg.inv(chol).T  # inner_nu-orthonormal coefficients
-    mats = []
-    for k in range(5):
-        x = np.zeros((3, 3), dtype=complex)
-        for c, e in zip(frame[:, k], basis):
-            x += c * e
-        mats.append(x)
-    return mats, frame
+    return [combine(frame[:, k], basis) for k in range(5)], frame
 
 
 def flatness(a: np.ndarray, b: np.ndarray) -> float:

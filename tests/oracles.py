@@ -11,6 +11,8 @@ from math import gcd
 
 import numpy as np
 
+from su3orbifolds.eschenburg6 import TorusAction6, cohom1_params, kernel_of_action
+
 
 def torsion_count(rows, m: int) -> int:
     """Number of m-torsion points (z, w) of T^2 fixed by all relation rows.
@@ -75,3 +77,32 @@ def grid_feasible(eqs, step_denominator: int = 127) -> bool:
         if tuple(-ct * i for _, ct, _, _, _ in coeffs) in seen:
             return True
     return False
+
+
+def effectivize_cohom1_scan(d: int, a, b):
+    """Reference for eschenburg6.effectivize_cohom1: tries every shear
+    multiple r in range(k) for the kernel order k, in order.
+
+    Linear in k, so only usable for small weights.  It shares the gauge
+    normalization and the kernel check with the implementation; only the
+    choice of r differs.  Raises like the implementation: ValueError for
+    k = 0, RuntimeError when no r works.
+    """
+    params = cohom1_params(d, a, b)
+    al, be, ga, de = params.alpha, params.beta, params.gamma, params.delta
+    k = gcd(gcd(ga - de, al - be), al * d - ga * (d - 1))
+    if k == 0:
+        raise ValueError("degenerate second circle")
+    if k == 1:
+        return tuple(a), tuple(b)
+    for r in range(k):
+        shift = -r * d
+        na = (al + r + shift, be + r + shift, r * d + shift)
+        nb = (ga + shift, de + shift, params.epsilon + r * (d + 2) + shift)
+        if all(x % k == 0 for x in na + nb):
+            na = tuple(x // k for x in na)
+            nb = tuple(x // k for x in nb)
+            act = TorusAction6(a=na, b=nb, p=(1, 1, d), q=(0, 0, d + 2))
+            if kernel_of_action(act).is_trivial:
+                return na, nb
+    raise RuntimeError("effectivization of the family action failed")

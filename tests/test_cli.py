@@ -163,6 +163,17 @@ class TestPoscurv:
             "malformed input: circle search bound must be at least 1, got -1"
         ]
 
+    def test_negative_bound_exit1_when_flat(self):
+        # the quotient has a flat witness, so the circle search never runs
+        code, rep = run_json(
+            "poscurv", "--a", "1,2,0", "--b", "0,0,3", "--p", "0,1,1", "--q", "2,0,0",
+            "--bound", "-1",
+        )
+        assert code == 1
+        assert rep["warnings"] == [
+            "malformed input: circle search bound must be at least 1, got -1"
+        ]
+
 
 class TestNormalize:
     def test_block_form(self):

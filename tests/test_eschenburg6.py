@@ -7,6 +7,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
 from su3orbifolds.eschenburg6 import (
     EDGE_ORDER,
@@ -43,7 +44,7 @@ from su3orbifolds.eschenburg7 import (
 )
 from su3orbifolds.lattice import AbelianGroup2
 
-from oracles import torsion_profile_matches
+from oracles import effectivize_cohom1_scan, torsion_profile_matches
 
 
 def _random_action6(rng, span=4):
@@ -305,4 +306,45 @@ class TestEffectivizeCohom1:
         b3 = tuple(3 * x for x in b)
         na, nb = effectivize_cohom1(d, a3, b3)
         act = TorusAction6(a=na, b=nb, p=(1, 1, d), q=(0, 0, d + 2))
+        assert singular_report(act).group_multiset() == singular_report(base).group_multiset()
+
+    @staticmethod
+    def _outcome(d, a, b):
+        """(result or exception type) of the implementation and the scan."""
+        out = []
+        for f in (effectivize_cohom1, effectivize_cohom1_scan):
+            try:
+                out.append(f(d, a, b))
+            except (ValueError, RuntimeError) as exc:
+                out.append(type(exc))
+        return out
+
+    @given(
+        st.integers(0, 8),
+        st.lists(st.integers(-5, 5), min_size=5, max_size=5),
+        st.integers(1, 12),
+        st.integers(-6, 6),
+        st.integers(-6, 6),
+    )
+    def test_matches_scan(self, d, w, k, shear, shift):
+        # plant a kernel of order k: scale a second circle by k, then shear
+        # it by the first circle p = (1,1,d), q = (0,0,d+2) and shift
+        a0 = (w[0], w[1], w[2])
+        b0 = (w[3], w[4], sum(a0) - w[3] - w[4])
+        a = tuple(k * x + shear * y + shift for x, y in zip(a0, (1, 1, d)))
+        b = tuple(k * x + shear * y + shift for x, y in zip(b0, (0, 0, d + 2)))
+        impl, ref = self._outcome(d, a, b)
+        assert impl == ref
+
+    def test_thirty_digit_kernel(self):
+        # a kernel of order about 10^30 that a scan over r could not finish
+        d, k = 4, 10**30 + 7
+        a, b = (0, 1, 1), (2, 0, 0)
+        base = cohom1_params(d, a, b).action()
+        ak = tuple(k * x + 3 * y for x, y in zip(a, (1, 1, d)))
+        bk = tuple(k * x + 3 * y for x, y in zip(b, (0, 0, d + 2)))
+        assert not kernel_of_action(cohom1_params(d, ak, bk).action()).is_trivial
+        na, nb = effectivize_cohom1(d, ak, bk)
+        act = TorusAction6(a=na, b=nb, p=(1, 1, d), q=(0, 0, d + 2))
+        assert kernel_of_action(act).is_trivial
         assert singular_report(act).group_multiset() == singular_report(base).group_multiset()

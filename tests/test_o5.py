@@ -23,6 +23,7 @@ from su3orbifolds.o5 import (
 from su3orbifolds.su3 import (
     CheegerMetric,
     Y3,
+    combine,
     haar_su3,
     horizontal_basis_O5,
     is_special_unitary,
@@ -104,10 +105,17 @@ class TestMinFlatness:
             # near-zero restarts all land on the same plane
             for k in np.nonzero(res.restart_values < 1e-10)[0]:
                 xc, yc = res.restart_planes[k]
-                h, _ = horizontal_basis_O5(cert.g, M)
-                xm = sum(c * hi for c, hi in zip(xc, h))
-                ym = sum(c * hi for c, hi in zip(yc, h))
-                assert plane_angle((xm, ym), (cert.a, cert.b)) < 1e-3
+                pair = (combine(xc, res.basis), combine(yc, res.basis))
+                assert plane_angle(pair, (cert.a, cert.b)) < 1e-3
+
+    def test_basis_is_the_horizontal_basis(self):
+        rng = np.random.default_rng(11)
+        for g in (haar_su3(rng), torus_point(0.7, 1.9)):
+            res = min_flatness(g, M, restarts=4, seed=0)
+            assert np.array_equal(res.basis, horizontal_basis_O5(g, M)[0])
+            xb, yb = res.restart_planes[np.argmin(res.restart_values)]
+            assert np.array_equal(res.a, combine(xb, res.basis))
+            assert np.array_equal(res.b, combine(yb, res.basis))
 
     def test_positive_off_torus(self):
         rng = np.random.default_rng(8)

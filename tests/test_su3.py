@@ -16,6 +16,7 @@ from su3orbifolds.su3 import (
     K_BASIS,
     Y3,
     bracket,
+    combine,
     coords,
     flatness,
     haar_su3,
@@ -46,8 +47,7 @@ class TestBasis:
         basis = su3_basis()
         x = random_su3_element(rng)
         c = coords(x, basis)
-        y = sum(ci * e for ci, e in zip(c, basis))
-        assert np.abs(x - y).max() < 1e-12
+        assert np.abs(x - combine(c, basis)).max() < 1e-12
 
 
 class TestShrunkTriple:
