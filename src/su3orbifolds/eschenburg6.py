@@ -85,12 +85,8 @@ def _stabilizer_rows(act: TorusAction6, sigma: Permutation3) -> list[tuple[int, 
 
 def vertex_order_formula(act: TorusAction6, sigma: Permutation3) -> int:
     """Closed-form order of the isotropy at the sigma vertex (0 = invalid)."""
-    bs = permute(act.b, sigma)
-    qs = permute(act.q, sigma)
-    return abs(
-        (act.p[0] - qs[0]) * (act.a[1] - bs[1])
-        - (act.a[0] - bs[0]) * (act.p[1] - qs[1])
-    )
+    (x0, y0), (x1, y1), _ = _stabilizer_rows(act, sigma)
+    return abs(x0 * y1 - y0 * x1)
 
 
 def validate6(act: TorusAction6) -> Validity:
@@ -111,13 +107,9 @@ def gamma6(act: TorusAction6, sigma: Permutation3) -> AbelianGroup2:
     n = vertex_order_formula(act, sigma)
     if n == 0:
         raise ValueError("vertex order 0: not an orbifold action")
-    group = kernel_group(_stabilizer_rows(act, sigma))
-    bs = permute(act.b, sigma)
-    qs = permute(act.q, sigma)
-    r = gcd(
-        gcd(act.a[0] - bs[0], act.a[1] - bs[1]),
-        gcd(act.p[0] - qs[0], act.p[1] - qs[1]),
-    )
+    rows = _stabilizer_rows(act, sigma)
+    group = kernel_group(rows)
+    r = gcd(*rows[0], *rows[1])
     if group.order != n or group.d1 != r:
         raise RuntimeError(
             f"isotropy cross-check failed at {PERM_NAMES[sigma]}: "

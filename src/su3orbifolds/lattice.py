@@ -209,15 +209,9 @@ def kernel_group(rows: Sequence[Row]) -> AbelianGroup2:
     """Structure of {(z, w) in T^2 : z^{m1} w^{m2} = 1 for every row (m1, m2)}.
 
     Returns Z_d1 + Z_d2 via the invariant factors of the relation matrix;
-    d2 = 0 signals an infinite kernel.
+    d2 = 0 signals an infinite kernel, and (0, 0) all-zero rows.
     """
-    d1, d2 = snf2(rows)
-    if d1 == 0:
-        # no constraints at all: two infinite factors, encode as (0, 0)
-        return AbelianGroup2(0, 0)
-    if d2 == 0:
-        return AbelianGroup2(d1, 0)
-    return AbelianGroup2(d1, d2)
+    return AbelianGroup2(*snf2(rows))
 
 
 def kernel_elements(rows: Sequence[Row]) -> list[tuple[Fraction, Fraction]]:

@@ -63,6 +63,15 @@ FLATNESS_SWEEPS = 40
 TORUS_STARTS = 4
 STABILIZER_MAX_ORDER = 12
 
+# Inner tolerances: min_flatness's null-space eigenvalue cut, Pfaffian pivot,
+# exact-flat candidate and snap threshold; _psi_pair's and stabilizer_check's.
+NULL_EIGENVALUE_TOL = 1e-9
+PFAFFIAN_PIVOT_TOL = 1e-12
+FLAT_CANDIDATE_TOL = 1e-14
+SNAP_THRESHOLD = 1e-8
+SMALL_ANGLE = 1e-14
+STABILIZER_MATCH_TOL = 1e-9
+
 
 def torus_point(s: float, theta: float) -> np.ndarray:
     """Point of the 2-torus carrying a zero-curvature plane."""
@@ -234,9 +243,9 @@ def _decomposable_in_span(null: np.ndarray, rng: np.random.Generator) -> list[np
             # it with full precision while the quadratic formula would lose
             # half the digits; also try the reversed parametrization in
             # case the root sits near infinity in tau
-            if abs(pc[i]) > 1e-12:
+            if abs(pc[i]) > PFAFFIAN_PIVOT_TOL:
                 cands.append(w1 + (-pb[i] / pc[i]) * w2)
-            if abs(pa[i]) > 1e-12:
+            if abs(pa[i]) > PFAFFIAN_PIVOT_TOL:
                 cands.append(w2 + (-pb[i] / pa[i]) * w1)
         return cands
     combos = rng.standard_normal((16, dim))
@@ -297,7 +306,7 @@ def min_flatness(
     q = np.array([[g4[a, b, c, d] for (c, d) in _PAIRS] for (a, b) in _PAIRS])
     eigvals, eigvecs = np.linalg.eigh(q)
     lower_bound = float(eigvals[0])
-    null = eigvecs[:, eigvals < 1e-9]
+    null = eigvecs[:, eigvals < NULL_EIGENVALUE_TOL]
     if null.shape[1]:
         extra = []
         for omega in _decomposable_in_span(null, rng):
@@ -321,11 +330,11 @@ def min_flatness(
         for xc, yc in zip(x[restarts:], y[restarts:]):
             om = _omega(xc, yc)
             v = float(np.einsum("abcd,a,b,c,d->", g4, xc, yc, xc, yc))
-            if v < 1e-14:
+            if v < FLAT_CANDIDATE_TOL:
                 flats.append((om, (xc, yc)))
         if flats:
             for i in range(len(values)):
-                if values[i] >= 1e-8:
+                if values[i] >= SNAP_THRESHOLD:
                     continue
                 om = _omega(x[i], y[i])
                 snap = max(flats, key=lambda f: abs(f[0] @ om))
@@ -524,7 +533,7 @@ def _psi_pair(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group pair (psi1, psi2) = (exp(v.su2 block), exp(v.K triple))."""
     n = np.linalg.norm(v)
     m1 = v[0] * I1 + v[1] * J1 + v[2] * K1
-    if n < 1e-14:
+    if n < SMALL_ANGLE:
         psi1 = np.eye(3, dtype=complex)
         psi2 = np.eye(3, dtype=complex)
         return psi1, psi2
@@ -586,7 +595,7 @@ def stabilizer_check(g: np.ndarray) -> int:
 
     Enumerates h = exp(t I) for t = 2 pi k/n in lowest terms with
     n <= STABILIZER_MAX_ORDER (including t = 0) and counts those with
-    psi1(h) g psi2(h)^{-1} = g within 1e-9.
+    psi1(h) g psi2(h)^{-1} = g within STABILIZER_MATCH_TOL.
     """
     count = 0
     for n in range(1, STABILIZER_MAX_ORDER + 1):
@@ -596,6 +605,6 @@ def stabilizer_check(g: np.ndarray) -> int:
             t = 2 * pi * k / n
             psi1 = np.diag([np.exp(1j * t), np.exp(-1j * t), 1.0])
             psi2 = np.diag([np.exp(2j * t), np.exp(-2j * t), 1.0])
-            if np.abs(psi1 @ g @ psi2.conj().T - g).max() < 1e-9:
+            if np.abs(psi1 @ g @ psi2.conj().T - g).max() < STABILIZER_MATCH_TOL:
                 count += 1
     return count

@@ -84,6 +84,8 @@ def is_su3(x: np.ndarray, tol: float = 1e-12) -> bool:
 
 # entrywise tolerance of is_special_unitary
 UNITARY_TOL = 1e-12
+# horizontal_basis_O5 raises when the vertical frame has a singular value below this
+VERTICAL_RANK_TOL = 1e-9
 
 
 def is_special_unitary(g: np.ndarray) -> bool:
@@ -151,7 +153,7 @@ def horizontal_basis_O5(
     vert = vertical_basis_O5(g)
     a = np.array([[inner_nu(e, v, m) for e in basis] for v in vert])
     u, s, vt = np.linalg.svd(a)
-    if s.min() < 1e-9:
+    if s.min() < VERTICAL_RANK_TOL:
         raise RuntimeError("vertical space degenerated: broken invariant")
     null = vt[3:].T  # 8 x 5, Euclidean-orthonormal columns
     # re-orthonormalize under inner_nu

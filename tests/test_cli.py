@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -12,6 +15,7 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
+import su3orbifolds
 from su3orbifolds.cli import _json, run
 from su3orbifolds.eschenburg6 import GL2Z, Permute, Scale, Shift, Swap
 from su3orbifolds.eschenburg7 import CYCLE_123, SWAP_12
@@ -251,6 +255,35 @@ class TestO5Verify:
         code, rep = run_json("o5-verify", "--restarts", "0")
         assert code == 1
         assert rep["warnings"] == ["malformed input: restarts must be at least 1, got 0"]
+
+    def test_certificate_error_exit3(self, monkeypatch):
+        from su3orbifolds import o5
+
+        def breach(*args, **kwargs):
+            raise o5.CertificateError("planted residual")
+
+        monkeypatch.setattr(o5, "flat_plane_at_torus", breach)
+        code, rep = run_json("o5-verify", "--samples", "1", "--restarts", "1")
+        assert code == 3
+        assert rep["warnings"] == ["internal invariant breach: planted residual"]
+
+
+def test_exact_half_loads_neither_numpy_nor_scipy():
+    script = """
+import io, sys
+from contextlib import redirect_stdout
+from su3orbifolds import cli, curvature, eschenburg6, eschenburg7, lattice, special
+with redirect_stdout(io.StringIO()):
+    code = cli.run(["wcp", "--p", "1", "--q", "1", "--r", "3", "--json"])
+assert code == 0, code
+print(sorted(m for m in ("numpy", "scipy") if m in sys.modules))
+"""
+    src = str(Path(su3orbifolds.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestParsing:

@@ -111,6 +111,9 @@ class TestKernelGroup:
     def test_rank_one_infinite(self):
         g = kernel_group([(1, 1)])
         assert not g.is_finite
+        # all-zero rows leave two infinite factors; rank one keeps d1
+        assert kernel_group([(0, 0), (0, 0)]) == AbelianGroup2(0, 0)
+        assert kernel_group([(2, 4), (-4, -8)]) == AbelianGroup2(2, 0)
 
     def test_oracle_profile_random(self):
         rng = random.Random(5)
