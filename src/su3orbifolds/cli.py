@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 from typing import get_args
 
-from .curvature import ExhaustedBound, find_circle, flat_witness, repar_normal_form
+from .curvature import ExhaustedBound, flat_witness, repar_normal_form, search_circle
 from .eschenburg6 import (
     EDGE_ENDPOINTS,
     EDGE_ORDER,
@@ -257,7 +257,7 @@ def _run_poscurv(args) -> tuple[dict, list, list]:
     act = _parse_action6(args)
     if validate6(act) is not Validity.ORBIFOLD:
         raise NotOrbifoldReport({"validity": "NotOrbifold"})
-    # checked here, not only by find_circle, so a flat quotient rejects it too
+    # checked before the flat witness, so a flat quotient rejects it too
     if args.bound < 1:
         raise MalformedInput(f"circle search bound must be at least 1, got {args.bound}")
     warnings = []
@@ -271,7 +271,7 @@ def _run_poscurv(args) -> tuple[dict, list, list]:
         return _json(result), [], warnings
     result = {"positively_curved": True, "flat_witness": None}
     try:
-        combo = find_circle(act, bound=args.bound)
+        combo = search_circle(act, bound=args.bound)
     except ExhaustedBound as exc:
         warnings.append(str(exc))
         result["circle"] = None

@@ -129,25 +129,38 @@ def _candidates(bound: int):
         yield from level
 
 
+def search_circle(act: TorusAction6, bound: int = 100) -> CircleCombo:
+    """The first coprime combination (lam, mu), in a deterministic order
+    up to |coefficient| bound, whose circle has a positively curved 7-D
+    quotient.
+
+    Raises ExhaustedBound if none works within the bound, and ValueError
+    for a bound below 1.  It does not decide the 6-D quotient first: a
+    flat witness (flat_witness) already proves that no such circle
+    exists, and find_circle checks for one.
+    """
+    if bound < 1:
+        raise ValueError(f"circle search bound must be at least 1, got {bound}")
+    for lam, mu in _candidates(bound):
+        combo = CircleCombo(lam, mu)
+        if positive7(combo.circle(act)):
+            return combo
+    raise ExhaustedBound(bound)
+
+
 def find_circle(act: TorusAction6, bound: int = 100) -> Optional[CircleCombo]:
     """A coprime circle combination with positively curved 7-D quotient.
 
     Returns None (provably none exists) when the 6-D quotient itself is
     not positively curved: any positively curved circle inside the torus
     would force positivity of the quotient by Riemannian submersion.
-    Otherwise searches coprime (lam, mu) in a deterministic order and
-    raises ExhaustedBound if none works within the bound.  A bound below
-    1 raises ValueError.
+    Otherwise returns search_circle(act, bound), which raises
+    ExhaustedBound if no circle works within the bound and ValueError
+    for a bound below 1.
     """
-    if bound < 1:
-        raise ValueError(f"circle search bound must be at least 1, got {bound}")
     if flat_witness(act) is not None:
         return None
-    for lam, mu in _candidates(bound):
-        combo = CircleCombo(lam, mu)
-        if positive7(combo.circle(act)):
-            return combo
-    raise ExhaustedBound(bound)
+    return search_circle(act, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Kept deliberately naive in structure (full enumeration over torsion
 points of the torus and over a dense rational grid) with no shared code
-paths with the implementations under test.
+paths with the implementations under test.  The one numeric oracle,
+distance_to_torus_fd, imports scipy and su3orbifolds.o5 when called, so
+loading this module costs neither.
 """
 
 from __future__ import annotations
@@ -106,3 +108,48 @@ def effectivize_cohom1_scan(d: int, a, b):
             if kernel_of_action(act).is_trivial:
                 return na, nb
     raise RuntimeError("effectivization of the family action failed")
+
+
+def distance_to_torus_fd(g) -> float:
+    """Reference for o5.distance_to_torus: the same grid, starts and
+    L-BFGS-B runs, with the gradient left to finite differences.
+
+    Evaluates the 12 x 12 coarse grid one call at a time and sorts it
+    stably on the value, so ties keep the (s, theta) order.
+    """
+    from math import cos, pi, sin, sqrt
+
+    from scipy.optimize import minimize
+
+    from su3orbifolds.o5 import SMALL_ANGLE, TORUS_STARTS, torus_point
+    from su3orbifolds.su3 import I1, I2, J1, J2, K1, K2
+
+    def psi_pair(v):
+        n = np.linalg.norm(v)
+        if n < SMALL_ANGLE:
+            return np.eye(3, dtype=complex), np.eye(3, dtype=complex)
+        m1 = v[0] * I1 + v[1] * J1 + v[2] * K1
+        psi1 = np.eye(3, dtype=complex) + (sin(n) / n) * m1 + ((1 - cos(n)) / n**2) * (m1 @ m1)
+        m2 = v[0] * I2 + v[1] * J2 + v[2] * K2
+        w = 2 * n
+        psi2 = np.eye(3, dtype=complex) + (sin(w) / w) * m2 + ((1 - cos(w)) / w**2) * (m2 @ m2)
+        return psi1, psi2
+
+    def objective(params):
+        psi1, psi2 = psi_pair(params[2:5])
+        d = psi1 @ torus_point(params[0], params[1]) @ psi2.conj().T - g
+        return float(np.sum(np.abs(d) ** 2))
+
+    grid = np.linspace(0, 2 * pi, 12, endpoint=False)
+    coarse = [(objective([s, theta, 0, 0, 0]), s, theta) for s in grid for theta in grid]
+    coarse.sort(key=lambda c: c[0])
+    best = coarse[0][0]
+    for _, s, theta in coarse[:TORUS_STARTS]:
+        res = minimize(
+            objective,
+            x0=np.array([s, theta, 0.0, 0.0, 0.0]),
+            method="L-BFGS-B",
+            options={"maxiter": 200},
+        )
+        best = min(best, float(res.fun))
+    return sqrt(max(best, 0.0))

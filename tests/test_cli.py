@@ -16,6 +16,7 @@ import jsonschema
 import pytest
 
 import su3orbifolds
+from su3orbifolds import cli, curvature
 from su3orbifolds.cli import _json, run
 from su3orbifolds.eschenburg6 import GL2Z, Permute, Scale, Shift, Swap
 from su3orbifolds.eschenburg7 import CYCLE_123, SWAP_12
@@ -159,6 +160,22 @@ class TestPoscurv:
             assert w["kind"] in ("Condition1", "Condition2")
             assert len(w["eta"]) == 3
             assert res["circle"] is None
+
+    def test_one_flat_witness_per_query(self, monkeypatch):
+        calls = []
+
+        def counting(act, _inner=curvature.flat_witness):
+            calls.append(act)
+            return _inner(act)
+
+        monkeypatch.setattr(cli, "flat_witness", counting)
+        monkeypatch.setattr(curvature, "flat_witness", counting)
+        flat = ("poscurv", "--a", "1,2,0", "--b", "0,0,3", "--p", "0,1,1", "--q", "2,0,0")
+        for argv, positive in ((self.ARGS, True), (flat, False)):
+            calls.clear()
+            code, rep = run_json(*argv)
+            assert code == 0 and rep["result"]["positively_curved"] is positive
+            assert len(calls) == 1
 
     def test_negative_bound_exit1(self):
         code, rep = run_json(*self.ARGS, "--bound", "-1")

@@ -16,6 +16,7 @@ from su3orbifolds.curvature import (
     find_circle,
     flat_witness,
     repar_normal_form,
+    search_circle,
 )
 from su3orbifolds.eschenburg6 import (
     GL2Z,
@@ -129,6 +130,29 @@ class TestFindCircle:
             assert c1 == c2
             if c1 is not None:
                 assert positive7(c1.circle(act))
+
+    def test_search_is_find_circle_on_positive_quotients(self):
+        rng = random.Random(97)
+        checked = 0
+        for _ in range(60):
+            act = _random_action6(rng)
+            if flat_witness(act) is not None:
+                continue
+            try:
+                expected = find_circle(act, bound=20)
+            except ExhaustedBound:
+                with pytest.raises(ExhaustedBound):
+                    search_circle(act, bound=20)
+                continue
+            assert search_circle(act, bound=20) == expected
+            checked += 1
+        assert checked > 5
+
+    def test_search_bound_below_one(self):
+        with pytest.raises(ValueError):
+            search_circle(EXAMPLE, bound=0)
+        with pytest.raises(ValueError):
+            find_circle(EXAMPLE, bound=0)
 
     def test_coprimality_enforced(self):
         with pytest.raises(ValueError):

@@ -6,8 +6,12 @@ from math import pi
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from su3orbifolds import o5
 from su3orbifolds.o5 import (
+    OFF_TORUS_DISTANCE,
+    SMALL_ANGLE,
     flat_plane_at_torus,
     distance_to_torus,
     g_z,
@@ -19,15 +23,25 @@ from su3orbifolds.o5 import (
     torus_point,
     torus_tangents,
     _horizontal_projection,
+    _psi_pair,
+    _torus_objective,
 )
 from su3orbifolds.su3 import (
     CheegerMetric,
+    I1,
+    I2,
+    J1,
+    J2,
+    K1,
+    K2,
     Y3,
     combine,
     haar_su3,
     horizontal_basis_O5,
     is_special_unitary,
 )
+
+from oracles import distance_to_torus_fd
 
 M = CheegerMetric(0.5)
 
@@ -66,6 +80,72 @@ class TestTorus:
             if distance_to_torus(g) > 0.05:
                 count += 1
         assert count >= 4
+
+
+def _verify_sample(i, seed=42):
+    """The i-th Haar sample that o5_verify draws at this seed."""
+    c_draw, _ = np.random.SeedSequence(entropy=seed, spawn_key=(0, i)).spawn(2)
+    return haar_su3(np.random.Generator(np.random.Philox(c_draw)))
+
+
+def _central_differences(f, x, h=1e-6):
+    """d f / d x_k for every k, stacked on the first axis."""
+    return np.array([(f(x + e) - f(x - e)) / (2 * h) for e in h * np.eye(len(x))])
+
+
+class TestTorusDistance:
+    def test_psi_pair_is_the_exponential(self):
+        rng = np.random.default_rng(12)
+        for v in (*rng.normal(size=(5, 3)), np.zeros(3)):
+            psi, _ = _psi_pair(v)
+            assert np.abs(psi[0] - expm(v[0] * I1 + v[1] * J1 + v[2] * K1)).max() < 1e-13
+            assert np.abs(psi[1] - expm(v[0] * I2 + v[1] * J2 + v[2] * K2)).max() < 1e-13
+
+    def test_psi_pair_derivatives(self):
+        rng = np.random.default_rng(13)
+        tiny = rng.normal(size=3)
+        tiny *= 0.5 * SMALL_ANGLE / np.linalg.norm(tiny)
+        for v in (*rng.normal(size=(5, 3)), np.zeros(3), tiny):
+            _, dpsi = _psi_pair(v)
+            num = _central_differences(lambda u: _psi_pair(u)[0], v)
+            assert np.abs(num - dpsi.transpose(1, 0, 2, 3)).max() < 1e-8
+
+    def test_gradient_matches_central_differences(self):
+        rng = np.random.default_rng(15)
+        tiny = rng.normal(size=3)
+        tiny *= 0.5 * SMALL_ANGLE / np.linalg.norm(tiny)
+        for j in range(12):
+            g = haar_su3(rng) if j % 2 else torus_point(*rng.uniform(0, 2 * pi, 2))
+            v = (rng.normal(size=3), np.zeros(3), tiny)[j % 3]
+            x = np.concatenate([rng.uniform(0, 2 * pi, 2), v])
+            _, grad = _torus_objective(x, g)
+            num = _central_differences(lambda p: _torus_objective(p, g)[0], x)
+            assert np.abs(grad - num).max() < 1e-6
+
+    def test_matches_finite_difference_oracle(self):
+        points = [_verify_sample(i) for i in range(10)]
+        points += [torus_point(s, theta) for s, theta in _torus_params(3, seed=16)]
+        for g in points:
+            d, ref = distance_to_torus(g), distance_to_torus_fd(g)
+            assert abs(d - ref) < 1e-6
+            assert (d > OFF_TORUS_DISTANCE) == (ref > OFF_TORUS_DISTANCE)
+
+    def test_runs_converge_with_the_exact_gradient(self, monkeypatch):
+        # finite differences cost about 508 evaluations per call, so the
+        # evaluation count catches a silent fallback to them
+        minimize, runs = o5.minimize, []
+
+        def recording(*args, **kwargs):
+            runs.append(minimize(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(o5, "minimize", recording)
+        samples = [_verify_sample(i, seed=7) for i in range(8)]
+        off = [distance_to_torus(g) > OFF_TORUS_DISTANCE for g in samples]
+        assert sum(off) >= 6
+        assert len(runs) == len(samples) * o5.TORUS_STARTS
+        assert all(res.success for res in runs)
+        assert sum(res.nfev for res in runs) / len(samples) < 150
 
 
 class TestCertificate:
