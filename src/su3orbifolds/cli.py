@@ -8,8 +8,8 @@ are emitted as text or JSON (--json) under a versioned schema; integers
 that may exceed 53-bit float precision are serialized as decimal
 strings.
 
-Exit codes: 0 success, 1 malformed input, 2 not an orbifold or
-degenerate action, 3 internal invariant breach.
+Exit codes: 0 success, 1 malformed input, 2 not an orbifold, 3 internal
+invariant breach.
 """
 
 from __future__ import annotations
@@ -17,7 +17,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
+from enum import Enum
 from fractions import Fraction
 from typing import get_args
 
@@ -56,18 +58,33 @@ EXIT_NOT_ORBIFOLD = 2
 EXIT_INVARIANT = 3
 
 
-class MalformedInput(ValueError):
-    """Input that fails parsing or a stated precondition."""
+class Stop(Exception):
+    """Ends a run early with a nonzero exit code, the report's one warning
+    and the partial result (already in JSON form) to print."""
+
+    def __init__(self, code: int, warning: str, result: dict | None = None):
+        super().__init__(warning)
+        self.code = code
+        self.warning = warning
+        self.result = result or {}
+
+
+def _malformed(message) -> Stop:
+    return Stop(EXIT_MALFORMED, f"malformed input: {message}")
+
+
+def _not_orbifold(result: dict) -> Stop:
+    return Stop(EXIT_NOT_ORBIFOLD, "not an orbifold or degenerate action", _json(result))
 
 
 def _triple(text: str) -> tuple[int, int, int]:
     parts = text.split(",")
     if len(parts) != 3:
-        raise MalformedInput(f"expected three comma-separated integers, got {text!r}")
+        raise _malformed(f"expected three comma-separated integers, got {text!r}")
     try:
         return tuple(int(p) for p in parts)  # type: ignore[return-value]
     except ValueError as exc:
-        raise MalformedInput(f"bad integer in {text!r}: {exc}") from exc
+        raise _malformed(f"bad integer in {text!r}: {exc}") from exc
 
 
 _MOVES = get_args(EquivalenceMove)
@@ -77,14 +94,17 @@ def _json(value):
     """JSON form of a result value.
 
     Integers become decimal strings and fractions "p/q", so nothing is
-    rounded through a float; groups become d1/d2/order/name, torus actions
-    a/b/p/q, and moves {"kind", **fields} with permutations by name.
-    None, bool, str and float pass through; containers are mapped.
+    rounded through a float; enums become their value, groups
+    d1/d2/order/name, and other dataclasses the dict of their fields, with
+    a "kind" tag on moves and permutations by name.  None, bool, str and
+    float pass through; containers are mapped.
     """
     if value is None or isinstance(value, (bool, str, float)):
         return value
     if isinstance(value, (int, Fraction)):
         return str(value)
+    if isinstance(value, Enum):
+        return value.value
     if isinstance(value, (list, tuple)):
         return [_json(v) for v in value]
     if isinstance(value, dict):
@@ -96,17 +116,15 @@ def _json(value):
             "order": _json(value.order),
             "name": str(value),
         }
-    if isinstance(value, TorusAction6):
-        return {k: _json(getattr(value, k)) for k in ("a", "b", "p", "q")}
     if isinstance(value, Permute):
         return {
             "kind": "Permute",
             "sigma": PERM_NAMES[value.sigma],
             "tau": PERM_NAMES[value.tau],
         }
-    if isinstance(value, _MOVES):
+    if dataclasses.is_dataclass(value):
         fields = {f.name: _json(getattr(value, f.name)) for f in dataclasses.fields(value)}
-        return {"kind": type(value).__name__, **fields}
+        return {"kind": type(value).__name__, **fields} if isinstance(value, _MOVES) else fields
     raise TypeError(f"no JSON form for {value!r}")
 
 
@@ -148,6 +166,7 @@ def _hexagon(vertices: dict, edges: dict) -> dict:
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (result dict, trace list, warnings list)
+# in JSON form, or raises Stop
 # ---------------------------------------------------------------------------
 
 
@@ -155,12 +174,12 @@ def _run_analyze7(args) -> tuple[dict, list, list]:
     try:
         act = CircleAction7(p=_triple(args.p), q=_triple(args.q))
     except ValueError as exc:
-        raise MalformedInput(str(exc)) from exc
+        raise _malformed(exc) from exc
     validity = validate7(act)
     if validity is Validity.NOT_ORBIFOLD:
-        raise NotOrbifoldReport({"validity": validity.value})
+        raise _not_orbifold({"validity": validity})
     result = {
-        "validity": validity.value,
+        "validity": validity,
         "vertex_groups": {PERM_NAMES[sig]: gamma7(act, sig) for sig in VERTEX_ORDER},
         "positively_curved": positive7(act),
         "almost_positively_curved": almost_positive7(act),
@@ -169,24 +188,26 @@ def _run_analyze7(args) -> tuple[dict, list, list]:
     return _json(result), [], []
 
 
-def _parse_action6(args) -> TorusAction6:
+def _orbifold_action6(args) -> TorusAction6:
+    """The torus action of --a --b --p --q: exit 1 if malformed, exit 2 if
+    not an orbifold action.  An orbifold action has a finite kernel: each
+    vertex row is a difference of two kernel rows, so a kernel of rank at
+    most one would give every vertex order 0."""
     try:
-        return TorusAction6(
+        act = TorusAction6(
             a=_triple(args.a), b=_triple(args.b), p=_triple(args.p), q=_triple(args.q)
         )
     except ValueError as exc:
-        raise MalformedInput(str(exc)) from exc
+        raise _malformed(exc) from exc
+    if validate6(act) is not Validity.ORBIFOLD:
+        raise _not_orbifold({"validity": Validity.NOT_ORBIFOLD})
+    return act
 
 
 def _run_analyze6(args) -> tuple[dict, list, list]:
-    act = _parse_action6(args)
-    validity = validate6(act)
-    if validity is not Validity.ORBIFOLD:
-        raise NotOrbifoldReport({"validity": validity.value})
+    act = _orbifold_action6(args)
     kernel = kernel_of_action(act)
-    if not kernel.is_finite:
-        raise NotOrbifoldReport(_json({"validity": "Degenerate", "action_kernel": kernel}))
-    result = {"validity": validity.value, "action_kernel": kernel}
+    result = {"validity": Validity.ORBIFOLD, "action_kernel": kernel}
     moves = []
     warnings = []
     if not kernel.is_trivial:
@@ -221,12 +242,12 @@ def _run_cohom1(args) -> tuple[dict, list, list]:
     try:
         params = cohom1_params(args.d, a, b)
     except ValueError as exc:
-        raise MalformedInput(str(exc)) from exc
+        raise _malformed(exc) from exc
     try:
         tables = cohom1_tables(params)
         eff_a, eff_b = effectivize_cohom1(args.d, a, b)
     except ValueError as exc:
-        raise NotOrbifoldReport({"validity": "NotOrbifold", "detail": str(exc)}) from exc
+        raise _not_orbifold({"validity": Validity.NOT_ORBIFOLD, "detail": str(exc)}) from exc
     result = {
         "d": params.d,
         "parameters": {
@@ -254,28 +275,20 @@ def _run_cohom1(args) -> tuple[dict, list, list]:
 
 
 def _run_poscurv(args) -> tuple[dict, list, list]:
-    act = _parse_action6(args)
-    if validate6(act) is not Validity.ORBIFOLD:
-        raise NotOrbifoldReport({"validity": "NotOrbifold"})
+    act = _orbifold_action6(args)
     # checked before the flat witness, so a flat quotient rejects it too
     if args.bound < 1:
-        raise MalformedInput(f"circle search bound must be at least 1, got {args.bound}")
-    warnings = []
+        raise _malformed(f"circle search bound must be at least 1, got {args.bound}")
     witness = flat_witness(act)
     if witness is not None:
-        result = {
-            "positively_curved": False,
-            "flat_witness": {"kind": witness.kind, "t": witness.t, "eta": witness.eta},
-            "circle": None,
-        }
-        return _json(result), [], warnings
+        result = {"positively_curved": False, "flat_witness": witness, "circle": None}
+        return _json(result), [], []
     result = {"positively_curved": True, "flat_witness": None}
     try:
         combo = search_circle(act, bound=args.bound)
     except ExhaustedBound as exc:
-        warnings.append(str(exc))
         result["circle"] = None
-        return _json(result), [], warnings
+        return _json(result), [], [str(exc)]
     circle = combo.circle(act)
     result["circle"] = {
         "lam": combo.lam,
@@ -288,16 +301,12 @@ def _run_poscurv(args) -> tuple[dict, list, list]:
         "pq": positive7(CircleAction7(p=act.p, q=act.q)),
         "ab": positive7(CircleAction7(p=act.a, q=act.b)),
     }
-    return _json(result), [], warnings
+    return _json(result), [], []
 
 
 def _run_normalize(args) -> tuple[dict, list, list]:
-    act = _parse_action6(args)
-    if validate6(act) is not Validity.ORBIFOLD:
-        raise NotOrbifoldReport({"validity": "NotOrbifold"})
+    act = _orbifold_action6(args)
     kernel = kernel_of_action(act)
-    if not kernel.is_finite:
-        raise NotOrbifoldReport(_json({"validity": "Degenerate", "action_kernel": kernel}))
     eff, moves = effectivize(act)
     repar = repar_normal_form(eff)
     result = {
@@ -317,27 +326,19 @@ def _run_wu(args) -> tuple[dict, list, list]:
     try:
         rep = wu_quotient(args.p, args.q)
     except ValueError as exc:
-        raise MalformedInput(str(exc)) from exc
-    result = _json({
-        "valid": rep.valid,
-        "isolated_point_orders": rep.isolated_points,
-        "rp2": {
-            "generic_order": rep.rp2.generic_order,
-            "distinguished_point_order": rep.rp2.distinguished_point_order,
-            "larger": rep.rp2.larger,
-        },
-    })
+        raise _malformed(exc) from exc
+    result = {"valid": rep.valid, "isolated_point_orders": rep.isolated_points, "rp2": rep.rp2}
     if not rep.valid:
-        raise NotOrbifoldReport(result)
-    return result, [], []
+        raise _not_orbifold(result)
+    return _json(result), [], []
 
 
 def _run_wcp(args) -> tuple[dict, list, list]:
     try:
         w = weighted_cp(args.p, args.q, args.r)
     except (ZeroWeightError, NotPrimitiveError) as exc:
-        raise MalformedInput(f"{type(exc).__name__}: {exc}") from exc
-    return _json({"weights": w.weights}), [], []
+        raise _malformed(f"{type(exc).__name__}: {exc}") from exc
+    return _json(w), [], []
 
 
 def _run_o5_verify(args) -> tuple[dict, list, list]:
@@ -349,7 +350,7 @@ def _run_o5_verify(args) -> tuple[dict, list, list]:
             args.nu, samples=args.samples, restarts=args.restarts, seed=args.seed
         )
     except ValueError as exc:
-        raise MalformedInput(str(exc)) from exc
+        raise _malformed(exc) from exc
     result = {
         "nu": rep.nu,
         "samples": rep.samples,
@@ -382,24 +383,8 @@ def _run_o5_verify(args) -> tuple[dict, list, list]:
         "passed": rep.passed,
     }
     if not rep.passed:
-        raise InvariantBreachReport(result)
+        raise Stop(EXIT_INVARIANT, "verification failed", result)
     return result, [], []
-
-
-class NotOrbifoldReport(Exception):
-    """Carry a partial result out to the exit-2 path."""
-
-    def __init__(self, result: dict):
-        super().__init__("not an orbifold")
-        self.result = result
-
-
-class InvariantBreachReport(Exception):
-    """Carry a failing verification report out to the exit-3 path."""
-
-    def __init__(self, result: dict):
-        super().__init__("verification failed")
-        self.result = result
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +393,16 @@ class InvariantBreachReport(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # flags are spelled in full: a prefix such as --js would otherwise
+        # parse as --json, which the pre-parse scan in run cannot see
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # exit 1 instead of argparse's default 2
-        raise MalformedInput(message)
+        raise _malformed(message)
+
+
+_WEIGHT_FLAGS = ("--a", "--b", "--p", "--q")
 
 
 def _build_parser() -> _Parser:
@@ -425,41 +418,41 @@ def _build_parser() -> _Parser:
     common.add_argument("--tol", type=float, default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_parser(name, help):
-        return sub.add_parser(name, help=help, parents=[common])
+    def add_parser(name, handler, help):
+        p = sub.add_parser(name, help=help, parents=[common])
+        p.set_defaults(handler=handler)
+        return p
 
-    p7 = add_parser("analyze7", help="orbifold analysis of a 7-D circle quotient")
+    p7 = add_parser("analyze7", _run_analyze7, help="orbifold analysis of a 7-D circle quotient")
     p7.add_argument("--p", required=True)
     p7.add_argument("--q", required=True)
 
-    p6 = add_parser("analyze6", help="orbifold analysis of a 6-D torus quotient")
-    for flag in ("--a", "--b", "--p", "--q"):
-        p6.add_argument(flag, required=True)
+    p6 = add_parser("analyze6", _run_analyze6, help="orbifold analysis of a 6-D torus quotient")
 
-    pc = add_parser("cohom1", help="cohomogeneity-one family tables")
+    pc = add_parser("cohom1", _run_cohom1, help="cohomogeneity-one family tables")
     pc.add_argument("--d", type=int, required=True)
     pc.add_argument("--a", required=True)
     pc.add_argument("--b", required=True)
 
-    pp = add_parser("poscurv", help="positive-curvature decision and circle search")
-    for flag in ("--a", "--b", "--p", "--q"):
-        pp.add_argument(flag, required=True)
+    pp = add_parser("poscurv", _run_poscurv, help="positive-curvature decision and circle search")
+    pn = add_parser("normalize", _run_normalize, help="effectivize and bring to normal form")
+    for p in (p6, pp, pn):
+        for flag in _WEIGHT_FLAGS:
+            p.add_argument(flag, required=True)
     pp.add_argument("--bound", type=int, default=100)
 
-    pn = add_parser("normalize", help="effectivize and bring to normal form")
-    for flag in ("--a", "--b", "--p", "--q"):
-        pn.add_argument(flag, required=True)
-
-    pw = add_parser("wu", help="circle quotient of the 5-manifold SU(3)/SO(3)")
+    pw = add_parser("wu", _run_wu, help="circle quotient of the 5-manifold SU(3)/SO(3)")
     pw.add_argument("--p", type=int, required=True)
     pw.add_argument("--q", type=int, required=True)
 
-    px = add_parser("wcp", help="weighted projective plane weights")
+    px = add_parser("wcp", _run_wcp, help="weighted projective plane weights")
     px.add_argument("--p", type=int, required=True)
     px.add_argument("--q", type=int, required=True)
     px.add_argument("--r", type=int, required=True)
 
-    po = add_parser("o5-verify", help="sampled curvature verification of SU(3)//SU(2)")
+    po = add_parser(
+        "o5-verify", _run_o5_verify, help="sampled curvature verification of SU(3)//SU(2)"
+    )
     po.add_argument("--nu", type=float, default=0.5)
     po.add_argument("--samples", type=int, default=1000)
     po.add_argument("--restarts", type=int, default=64)
@@ -468,16 +461,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_HANDLERS = {
-    "analyze7": _run_analyze7,
-    "analyze6": _run_analyze6,
-    "cohom1": _run_cohom1,
-    "poscurv": _run_poscurv,
-    "normalize": _run_normalize,
-    "wu": _run_wu,
-    "wcp": _run_wcp,
-    "o5-verify": _run_o5_verify,
-}
+_PARSER = _build_parser()
+
+
+def _join_weights(argv) -> list[str]:
+    """Join each weight flag to its value (--a -2,0,2 -> --a=-2,0,2), so
+    argparse does not mistake the leading minus sign for an option."""
+    joined, tokens = [], iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok in _WEIGHT_FLAGS else None
+        joined.append(tok if value is None else f"{tok}={value}")
+    return joined
 
 
 def _render_text(report: dict, out) -> None:
@@ -516,51 +510,31 @@ def run(argv) -> int:
     }
     code = EXIT_OK
     as_json = "--json" in argv
-    # merge weight flags with their values so argparse does not mistake
-    # a leading minus sign (as in --a -2,0,2) for an option
-    merged = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok in ("--a", "--b", "--p", "--q") and i + 1 < len(argv):
-            merged.append(f"{tok}={argv[i + 1]}")
-            skip = True
-        else:
-            merged.append(tok)
-    argv = merged
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(_join_weights(argv))
         as_json = args.json
+        if not math.isfinite(args.tol):
+            raise _malformed(f"argument --tol: must be finite, got {args.tol}")
         report["command"] = args.command
         report["tol"] = args.tol
         report["input"] = {
             k: v
             for k, v in vars(args).items()
-            if k not in ("json", "tol", "command") and v is not None
+            if k not in ("json", "tol", "command", "handler") and v is not None
         }
-        result, trace, warnings = _HANDLERS[args.command](args)
+        result, trace, warnings = args.handler(args)
         report["result"] = result
         report["normalization_trace"] = trace
         report["warnings"] = warnings
-    except MalformedInput as exc:
-        report["warnings"] = [f"malformed input: {exc}"]
-        code = EXIT_MALFORMED
-    except NotOrbifoldReport as exc:
+    except (Stop, RuntimeError, AssertionError) as exc:
+        if not isinstance(exc, Stop):
+            exc = Stop(EXIT_INVARIANT, f"internal invariant breach: {exc}")
         report["result"] = exc.result
-        report["warnings"] = ["not an orbifold or degenerate action"]
-        code = EXIT_NOT_ORBIFOLD
-    except InvariantBreachReport as exc:
-        report["result"] = exc.result
-        report["warnings"] = ["verification failed"]
-        code = EXIT_INVARIANT
-    except (RuntimeError, AssertionError) as exc:
-        report["warnings"] = [f"internal invariant breach: {exc}"]
-        code = EXIT_INVARIANT
+        report["warnings"] = [exc.warning]
+        code = exc.code
     report["exit_code"] = code
     if as_json:
-        json.dump(report, out, indent=2, sort_keys=False)
+        json.dump(report, out, indent=2)
         print(file=out)
     else:
         _render_text(report, out)

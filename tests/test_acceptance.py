@@ -15,6 +15,7 @@ from contextlib import redirect_stdout
 from math import gcd, pi
 
 import numpy as np
+import pytest
 
 from su3orbifolds.cli import run as cli_run
 from su3orbifolds.curvature import _system1, _system2, find_circle, flat_witness
@@ -190,6 +191,7 @@ def test_family_singular_structure():
             checked += 1
 
 
+@pytest.mark.slow  # about 4 minutes; pytest -m "not slow" skips it
 def test_almost_positive_5d_quotient():
     with _gate(7, "5-dimensional quotient flat-plane verification"):
         start = time.perf_counter()

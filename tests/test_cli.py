@@ -18,8 +18,9 @@ import pytest
 import su3orbifolds
 from su3orbifolds import cli, curvature
 from su3orbifolds.cli import _json, run
-from su3orbifolds.eschenburg6 import GL2Z, Permute, Scale, Shift, Swap
-from su3orbifolds.eschenburg7 import CYCLE_123, SWAP_12
+from su3orbifolds.curvature import FlatWitness
+from su3orbifolds.eschenburg6 import GL2Z, Permute, Scale, Shift, Swap, TorusAction6
+from su3orbifolds.eschenburg7 import CYCLE_123, SWAP_12, Validity
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "src" / "su3orbifolds" / "report_schema.json").read_text()
@@ -321,6 +322,45 @@ class TestParsing:
         code, _ = run_cli("analyze7", "--p", "1,1,0")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "q, warning",
+        [("2", "unrecognized arguments: --js"), ("x", "argument --q: invalid int value: 'x'")],
+    )
+    def test_abbreviated_flag_exit1(self, q, warning):
+        # a prefix of --json is not --json, whether or not the rest parses,
+        # so both reports are text
+        code, out = run_cli("wcp", "--p", "1", "--q", q, "--r", "3", "--js")
+        assert code == 1
+        assert out.startswith("schema_version: 1\n")
+        assert f"malformed input: {warning}" in out
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_tol_exit1(self, tol):
+        code, out = run_cli(f"--tol={tol}", "wcp", "--p", "1", "--q", "1", "--r", "3", "--json")
+        assert code == 1
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        report = json.loads(out, parse_constant=reject)
+        assert report["warnings"] == [
+            f"malformed input: argument --tol: must be finite, got {float(tol)}"
+        ]
+
+    def test_parser_is_built_once(self, monkeypatch):
+        monkeypatch.setattr(cli, "_build_parser", None)
+        code, _ = run_json("wcp", "--p", "1", "--q", "1", "--r", "3")
+        assert code == 0
+
+    def test_no_state_between_runs(self):
+        wcp = ("wcp", "--p", "1", "--q", "1", "--r", "3")
+        assert run_json("--tol", "0.5", *wcp)[1]["tol"] == 0.5
+        assert run_json(*wcp)[1]["tol"] == 1e-10
+        golden = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
+        for case in golden[:4]:
+            assert run_cli("analyze7", "--p", "1,1", "--q", "0,0,2", "--json")[0] == 1
+            assert run_cli(*case["argv"]) == (case["exit_code"], case["stdout"])
+
 
 class TestReportValues:
     def test_move_forms(self):
@@ -338,6 +378,18 @@ class TestReportValues:
             "kind": "GL2Z",
             "m": [["1", "0"], ["-3", "1"]],
         }
+
+    def test_dataclasses_and_enums(self):
+        assert _json(Validity.NOT_ORBIFOLD) == "NotOrbifold"
+        act = TorusAction6(a=(0, 1, 1), b=(2, 3, -3), p=(0, 0, 1), q=(2, 4, -5))
+        assert _json(act) == {
+            "a": ["0", "1", "1"],
+            "b": ["2", "3", "-3"],
+            "p": ["0", "0", "1"],
+            "q": ["2", "4", "-5"],
+        }
+        witness = FlatWitness("Condition2", None, (Fraction(1, 2), Fraction(1, 2), Fraction(0)))
+        assert _json(witness) == {"kind": "Condition2", "t": None, "eta": ["1/2", "1/2", "0"]}
 
     def test_scalars(self):
         assert _json([None, True, "x", 0.5, -(10**40), Fraction(4, 2)]) == [

@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from su3orbifolds.eschenburg6 import (
     EDGE_ORDER,
@@ -48,7 +48,8 @@ from oracles import effectivize_cohom1_scan, torsion_profile_matches
 
 
 def _random_action6(rng, span=4):
-    """Random valid (orbifold, finite-kernel) torus action."""
+    """Random orbifold torus action (its kernel is finite, see
+    TestKernelOfAction)."""
     while True:
         a = tuple(rng.randint(-span, span) for _ in range(3))
         b2 = [rng.randint(-span, span) for _ in range(2)]
@@ -61,9 +62,32 @@ def _random_action6(rng, span=4):
         act = TorusAction6(a=a, b=b, p=p, q=q)
         if validate6(act) is not Validity.ORBIFOLD:
             continue
-        if not kernel_of_action(act).is_finite:
-            continue
         return act
+
+
+@st.composite
+def orbifold_actions6(draw, span=4):
+    """Orbifold torus actions drawn as by _random_action6."""
+    w = st.integers(-span, span)
+    a, p = draw(st.tuples(w, w, w)), draw(st.tuples(w, w, w))
+    b0, b1, q0, q1 = draw(st.tuples(w, w, w, w))
+    b, q = (b0, b1, sum(a) - b0 - b1), (q0, q1, sum(p) - q0 - q1)
+    assume(max(abs(b[2]), abs(q[2])) <= 3 * span)
+    act = TorusAction6(a=a, b=b, p=p, q=q)
+    assume(validate6(act) is Validity.ORBIFOLD)
+    return act
+
+
+def _gl2z(shears):
+    """Unimodular matrix from shears (s, first_row): add s times the other
+    row to the first row or to the second."""
+    m = [[1, 0], [0, 1]]
+    for s, first_row in shears:
+        if first_row:
+            m[0] = [m[0][0] + s * m[1][0], m[0][1] + s * m[1][1]]
+        else:
+            m[1] = [m[1][0] + s * m[0][0], m[1][1] + s * m[0][1]]
+    return GL2Z((tuple(m[0]), tuple(m[1])))
 
 
 def _random_move(rng):
@@ -76,15 +100,20 @@ def _random_move(rng):
         return Permute(sigma=rng.choice(ALL_PERMS), tau=rng.choice(ALL_PERMS))
     if kind == 3:
         return Scale(lam=Fraction(rng.choice((1, -1))), mu=Fraction(rng.choice((1, -1))))
-    # random unimodular matrix from shears
-    m = [[1, 0], [0, 1]]
-    for _ in range(3):
-        s = rng.randint(-2, 2)
-        if rng.random() < 0.5:
-            m[0] = [m[0][0] + s * m[1][0], m[0][1] + s * m[1][1]]
-        else:
-            m[1] = [m[1][0] + s * m[0][0], m[1][1] + s * m[0][1]]
-    return GL2Z((tuple(m[0]), tuple(m[1])))
+    return _gl2z([(rng.randint(-2, 2), rng.random() < 0.5) for _ in range(3)])
+
+
+PERMS = st.sampled_from(ALL_PERMS)
+UNIT = st.sampled_from((1, -1)).map(Fraction)
+# the moves of _random_move
+MOVES = st.one_of(
+    st.just(Swap()),
+    st.builds(Shift, c=st.integers(-3, 3), d=st.integers(-3, 3)),
+    st.builds(Permute, sigma=PERMS, tau=PERMS),
+    st.builds(Scale, lam=UNIT, mu=UNIT),
+    st.lists(st.tuples(st.integers(-2, 2), st.booleans()), min_size=3, max_size=3).map(_gl2z),
+)
+HUGE = st.integers(10**29, 10**40 - 1) | st.integers(-(10**40 - 1), -(10**29))
 
 
 class TestGamma6:
@@ -101,13 +130,11 @@ class TestGamma6:
                 g = gamma6(act, sigma)
                 assert g.order == vertex_order_formula(act, sigma)
 
-    def test_torsion_oracle(self):
-        rng = random.Random(37)
-        for _ in range(60):
-            act = _random_action6(rng)
-            sigma = rng.choice(ALL_PERMS)
-            g = gamma6(act, sigma)
-            assert torsion_profile_matches(_stabilizer_rows(act, sigma), g.d1, g.d2)
+    @settings(max_examples=60, deadline=None)
+    @given(orbifold_actions6(), PERMS)
+    def test_torsion_oracle(self, act, sigma):
+        g = gamma6(act, sigma)
+        assert torsion_profile_matches(_stabilizer_rows(act, sigma), g.d1, g.d2)
 
     def test_degenerate_vertex_raises(self):
         act = TorusAction6(a=(0, 0, 0), b=(0, 0, 0), p=(1, 2, 3), q=(1, 2, 3))
@@ -125,14 +152,12 @@ class TestLgroup6:
                 assert gamma6(act, sigma).order % group.order == 0
                 assert gamma6(act, tau).order % group.order == 0
 
-    def test_torsion_oracle(self):
-        rng = random.Random(43)
-        for _ in range(40):
-            act = _random_action6(rng)
-            e = EDGE_ORDER[rng.randrange(len(EDGE_ORDER))]
-            group, (sigma, tau) = lgroup6(act, *e)
-            rows = _stabilizer_rows(act, sigma) + _stabilizer_rows(act, tau)
-            assert torsion_profile_matches(rows, group.d1, group.d2)
+    @settings(max_examples=40, deadline=None)
+    @given(orbifold_actions6(), st.sampled_from(EDGE_ORDER))
+    def test_torsion_oracle(self, act, e):
+        group, (sigma, tau) = lgroup6(act, *e)
+        rows = _stabilizer_rows(act, sigma) + _stabilizer_rows(act, tau)
+        assert torsion_profile_matches(rows, group.d1, group.d2)
 
     def test_unknown_stratum_raises(self):
         act = TorusAction6(a=(1, 2, 0), b=(0, 0, 3), p=(0, 1, 1), q=(2, 0, 0))
@@ -141,15 +166,14 @@ class TestLgroup6:
 
 
 class TestSingularReport:
-    def test_multiset_move_invariance(self):
-        rng = random.Random(47)
-        for _ in range(50):
-            act = _random_action6(rng)
-            base = singular_report(act).group_multiset()
-            cur = act
-            for _ in range(rng.randint(1, 4)):
-                cur = apply_equivalence(cur, _random_move(rng))
-            assert singular_report(cur).group_multiset() == base
+    @settings(max_examples=50, deadline=None)
+    @given(orbifold_actions6(), st.lists(MOVES, min_size=1, max_size=4))
+    def test_multiset_move_invariance(self, act, moves):
+        base = singular_report(act).group_multiset()
+        cur = act
+        for move in moves:
+            cur = apply_equivalence(cur, move)
+        assert singular_report(cur).group_multiset() == base
 
     def test_effective_flag(self):
         act = TorusAction6(a=(1, 2, 0), b=(0, 0, 3), p=(0, 1, 1), q=(2, 0, 0))
@@ -163,6 +187,30 @@ class TestSingularReport:
         act = TorusAction6(a=(0, 0, 0), b=(0, 0, 0), p=(1, 2, 3), q=(1, 2, 3))
         with pytest.raises(ValueError):
             singular_report(act)
+
+
+@st.composite
+def torus_actions6(draw, entries):
+    """Torus actions with entries drawn from `entries`; with equal chance
+    the (a, b) circle is a multiple of (p, q) plus a shift, which gives an
+    infinite kernel, possibly with one entry moved off it."""
+    a, p = draw(st.tuples(entries, entries, entries)), draw(st.tuples(entries, entries, entries))
+    b0, b1, q0, q1 = draw(st.tuples(entries, entries, entries, entries))
+    b, q = (b0, b1, sum(a) - b0 - b1), (q0, q1, sum(p) - q0 - q1)
+    if draw(st.booleans()):
+        k, c, nudge = draw(entries), draw(entries), draw(st.sampled_from((0, 0, 1, -1)))
+        a = (k * p[0] + c + nudge, k * p[1] + c, k * p[2] + c)
+        b = (k * q[0] + c + nudge, k * q[1] + c, k * q[2] + c)
+    return TorusAction6(a=a, b=b, p=p, q=q)
+
+
+class TestKernelOfAction:
+    # each vertex row is a difference of two kernel rows, so a kernel of
+    # rank at most one (an infinite kernel) forces every vertex order to 0
+    @settings(max_examples=300, deadline=None)
+    @given(torus_actions6(st.integers(-4, 4)) | torus_actions6(HUGE | st.integers(-4, 4)))
+    def test_orbifold_kernel_is_finite(self, act):
+        assert validate6(act) is not Validity.ORBIFOLD or kernel_of_action(act).is_finite
 
 
 class TestEffectivize:

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from su3orbifolds.lattice import (
     AbelianGroup2,
@@ -39,30 +39,28 @@ class TestSnf2:
     def test_zero_matrix(self):
         assert snf2([(0, 0)]) == (0, 0)
 
-    def test_unimodular_invariance(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            rows = [
-                (rng.randint(-9, 9), rng.randint(-9, 9))
-                for _ in range(rng.randint(1, 4))
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=1, max_size=4),
+        st.lists(st.tuples(st.integers(-3, 3), st.booleans()), min_size=3, max_size=3),
+        st.data(),
+    )
+    def test_unimodular_invariance(self, rows, shears, data):
+        base = snf2(rows)
+        # left-multiply by a unimodular matrix built from shears
+        a, b, c, d = 1, 0, 0, 1
+        for s, first_row in shears:
+            if first_row:
+                a, b = a + s * c, b + s * d
+            else:
+                c, d = c + s * a, d + s * b
+        if len(rows) == 2:
+            mixed = [
+                (a * rows[0][0] + b * rows[1][0], a * rows[0][1] + b * rows[1][1]),
+                (c * rows[0][0] + d * rows[1][0], c * rows[0][1] + d * rows[1][1]),
             ]
-            base = snf2(rows)
-            # left-multiply by a random unimodular matrix built from shears
-            a, b, c, d = 1, 0, 0, 1
-            for _ in range(3):
-                s = rng.randint(-3, 3)
-                if rng.random() < 0.5:
-                    a, b = a + s * c, b + s * d
-                else:
-                    c, d = c + s * a, d + s * b
-            if len(rows) == 2:
-                mixed = [
-                    (a * rows[0][0] + b * rows[1][0], a * rows[0][1] + b * rows[1][1]),
-                    (c * rows[0][0] + d * rows[1][0], c * rows[0][1] + d * rows[1][1]),
-                ]
-                assert snf2(mixed) == base
-            rng.shuffle(rows)
-            assert snf2(rows) == base
+            assert snf2(mixed) == base
+        assert snf2(data.draw(st.permutations(rows))) == base
 
 
 SMALL = st.integers(-12, 12)
