@@ -1,11 +1,11 @@
 """Exact positive-curvature decision for the 6-dimensional torus quotients.
 
 The metric obtained by shrinking along the U(2) block that fixes the
-third coordinate is positively curved iff two exact rational systems in
-(t, eta) are both infeasible.  A feasible point is returned as a flat
-witness.  When the quotient is positively curved, a bounded search finds
-a circle inside the torus whose 7-dimensional quotient is itself
-positively curved.
+third coordinate is positively curved iff one exact rational system in
+(t, eta) is infeasible.  A feasible point is returned as a flat witness.
+When the quotient is positively curved, a bounded search finds a circle
+inside the torus whose 7-dimensional quotient is itself positively
+curved.
 """
 
 from __future__ import annotations
@@ -32,23 +32,17 @@ from .eschenburg6 import (
 class FlatWitness:
     """Exact parameters of a flat plane for the block-shrunk metric.
 
-    kind "Condition1" solves (1-t)b1 + t*b2 = sum(eta*a) together with
-    (1-t)q1 + t*q2 = sum(eta*p); kind "Condition2" solves b3 = sum(eta*a)
-    and q3 = sum(eta*p) (no t involved).
+    Solves (1-t)b1 + t*b2 = sum(eta*a) together with
+    (1-t)q1 + t*q2 = sum(eta*p).  kind is always "Condition1", the
+    paper's name for this system, which the reports carry.
     """
 
     kind: str
-    t: Optional[Fraction]
+    t: Fraction
     eta: tuple[Fraction, Fraction, Fraction]
 
-    def __post_init__(self):
-        if self.kind not in ("Condition1", "Condition2"):
-            raise ValueError("kind must be Condition1 or Condition2")
-        if (self.kind == "Condition1") != (self.t is not None):
-            raise ValueError("t is present exactly for Condition1")
 
-
-def _system1(act: TorusAction6) -> list[Equality]:
+def _flat_system(act: TorusAction6) -> list[Equality]:
     a, b, p, q = act.a, act.b, act.p, act.q
     return [
         (Fraction(b[0]), Fraction(b[1] - b[0]),
@@ -58,32 +52,24 @@ def _system1(act: TorusAction6) -> list[Equality]:
     ]
 
 
-def _system2(act: TorusAction6) -> list[Equality]:
-    a, b, p, q = act.a, act.b, act.p, act.q
-    return [
-        (Fraction(b[2]), Fraction(0),
-         Fraction(-a[0]), Fraction(-a[1]), Fraction(-a[2])),
-        (Fraction(q[2]), Fraction(0),
-         Fraction(-p[0]), Fraction(-p[1]), Fraction(-p[2])),
-    ]
-
-
 def flat_witness(act: TorusAction6) -> Optional[FlatWitness]:
     """Exact flat-plane witness, or None when positively curved.
 
-    The decision is exact rational feasibility; None means both defining
-    systems are infeasible, which is equivalent to positive curvature of
-    the block-shrunk metric.
+    With A_i = (a_i, p_i) and B_j = (b_j, q_j), the paper's criterion
+    asks whether the segment [B_1, B_2] meets the triangle
+    T = conv{A_i} (Condition 1), or B_3 lies in T (Condition 2).  The
+    second implies the first: sum(a) = sum(b) and sum(p) = sum(q) give T
+    and the B_j the same centroid, so B_3 = sum(eta_i A_i) makes
+    (B_1 + B_2)/2 = sum(((1 - eta_i)/2) A_i), a Condition 1 point with
+    t = 1/2.  One exact rational feasibility problem therefore decides
+    positive curvature of the block-shrunk metric.
     """
     if validate6(act) is not Validity.ORBIFOLD:
         raise ValueError("not an orbifold action")
-    w = feasibility(_system1(act))
-    if w is not None:
-        return FlatWitness(kind="Condition1", t=w.t, eta=w.eta)
-    w = feasibility(_system2(act))
-    if w is not None:
-        return FlatWitness(kind="Condition2", t=None, eta=w.eta)
-    return None
+    w = feasibility(_flat_system(act))
+    if w is None:
+        return None
+    return FlatWitness(kind="Condition1", t=w.t, eta=w.eta)
 
 
 @dataclass(frozen=True)

@@ -117,22 +117,23 @@ def positive7(act: CircleAction7) -> bool:
 def almost_positive7(act: CircleAction7) -> bool:
     """Almost-positivity: some equivalent presentation matches a chain.
 
-    Sorting both triples (and optionally swapping p with q or negating
-    both, which are quotient-preserving moves), the criterion is one of
+    Sorting both triples (and optionally swapping p with q, a
+    quotient-preserving move), the criterion is one of
         q1 < q2 = p1 < p2 <= p3 < q3
         q1 < p1 <= p2 < p3 = q2 < q3
-    Raises on degenerate input (q a permutation of p).
+    Negating both triples, the other such move, swaps the two chains, so
+    it needs no pass of its own.  Raises on degenerate input (q a
+    permutation of p).
     """
     if sorted(act.p) == sorted(act.q):
         raise ValueError("degenerate action: q is a permutation of p")
     for base_p, base_q in ((act.p, act.q), (act.q, act.p)):
-        for s in (1, -1):
-            p = sorted(s * x for x in base_p)
-            q = sorted(s * x for x in base_q)
-            if q[0] < q[1] == p[0] < p[1] <= p[2] < q[2]:
-                return True
-            if q[0] < p[0] <= p[1] < p[2] == q[1] < q[2]:
-                return True
+        p = sorted(base_p)
+        q = sorted(base_q)
+        if q[0] < q[1] == p[0] < p[1] <= p[2] < q[2]:
+            return True
+        if q[0] < p[0] <= p[1] < p[2] == q[1] < q[2]:
+            return True
     return False
 
 

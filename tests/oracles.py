@@ -2,7 +2,9 @@
 
 Kept deliberately naive in structure (full enumeration over torsion
 points of the torus and over a dense rational grid) with no shared code
-paths with the implementations under test.  The one numeric oracle,
+paths with the implementations under test.  The flat-plane reference is
+the paper's criterion with both of its conditions; curvature.flat_witness
+solves only the first, which the second implies.  The one numeric oracle,
 distance_to_torus_fd, imports scipy and su3orbifolds.o5 when called, so
 loading this module costs neither.
 """
@@ -79,6 +81,27 @@ def grid_feasible(eqs, step_denominator: int = 127) -> bool:
         if tuple(-ct * i for _, ct, _, _, _ in coeffs) in seen:
             return True
     return False
+
+
+def condition1_system(act: TorusAction6):
+    """The paper's Condition 1 as equalities for grid_feasible: the segment
+    [B1, B2] meets the triangle conv{A_i}, where A_i = (a_i, p_i) and
+    B_j = (b_j, q_j); (1-t)*B1 + t*B2 = sum(eta_i * A_i)."""
+    a, b, p, q = act.a, act.b, act.p, act.q
+    return [
+        (b[0], b[1] - b[0], -a[0], -a[1], -a[2]),
+        (q[0], q[1] - q[0], -p[0], -p[1], -p[2]),
+    ]
+
+
+def condition2_system(act: TorusAction6):
+    """The paper's Condition 2 as equalities for grid_feasible: B3 lies in
+    the triangle conv{A_i}; B3 = sum(eta_i * A_i), with no t involved."""
+    a, b, p, q = act.a, act.b, act.p, act.q
+    return [
+        (b[2], 0, -a[0], -a[1], -a[2]),
+        (q[2], 0, -p[0], -p[1], -p[2]),
+    ]
 
 
 def effectivize_cohom1_scan(d: int, a, b):

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from su3orbifolds.cli import run as cli_run
-from su3orbifolds.curvature import _system1, _system2, find_circle, flat_witness
+from su3orbifolds.curvature import find_circle, flat_witness
 from su3orbifolds.eschenburg6 import (
     EDGE_ORDER,
     TorusAction6,
@@ -44,7 +44,7 @@ from su3orbifolds.special import (
 )
 from su3orbifolds.su3 import haar_su3
 
-from oracles import grid_feasible, torsion_profile_matches
+from oracles import condition1_system, condition2_system, grid_feasible, torsion_profile_matches
 from test_eschenburg6 import _random_action6, _random_move
 
 
@@ -141,7 +141,7 @@ def test_curvature_oracle_equivalence():
         for _ in range(500):
             act = _random_action6(rng, span=5)
             w = flat_witness(act)
-            hit = grid_feasible(_system1(act)) or grid_feasible(_system2(act))
+            hit = grid_feasible(condition1_system(act)) or grid_feasible(condition2_system(act))
             if hit:
                 assert w is not None
             if w is None:

@@ -158,7 +158,7 @@ class TestPoscurv:
         res = rep["result"]
         if not res["positively_curved"]:
             w = res["flat_witness"]
-            assert w["kind"] in ("Condition1", "Condition2")
+            assert w["kind"] == "Condition1"
             assert len(w["eta"]) == 3
             assert res["circle"] is None
 
@@ -177,6 +177,15 @@ class TestPoscurv:
             code, rep = run_json(*argv)
             assert code == 0 and rep["result"]["positively_curved"] is positive
             assert len(calls) == 1
+
+    def test_exhausted_bound(self):
+        # the example's first positive circle is (-1, 2), beyond bound 1
+        code, rep = run_json(*self.ARGS, "--bound", "1")
+        assert code == 0
+        assert rep["warnings"] == ["no positively curved circle with coefficients up to 1"]
+        res = rep["result"]
+        assert res["positively_curved"] is True and res["circle"] is None
+        assert "input_circles_positive_7d" not in res
 
     def test_negative_bound_exit1(self):
         code, rep = run_json(*self.ARGS, "--bound", "-1")
@@ -286,6 +295,28 @@ class TestO5Verify:
         assert rep["warnings"] == ["internal invariant breach: planted residual"]
 
 
+    def test_failed_verification_exit3(self, monkeypatch):
+        from su3orbifolds import o5
+
+        failed = o5.O5Verification(
+            nu=0.5, samples=1, restarts=1, seed=0,
+            off_torus_count=1, off_torus_floor=-1.0, off_torus_lower_bound=-1.0,
+            off_torus_positive=False,
+            torus_points=0, torus_max_flatness=0.0, torus_max_cert_flatness=0.0,
+            torus_max_horizontality=0.0, torus_max_plane_angle=0.0, torus_flat=True,
+            uniqueness_checked=0, uniqueness_max_angle=0.0, uniqueness_ok=True,
+            tangency_max_angle=0.0, tangency_ok=True,
+            contains_max_residual=0.0, contains_ok=True,
+            passed=False,
+        )
+        monkeypatch.setattr(o5, "o5_verify", lambda *args, **kwargs: failed)
+        code, rep = run_json("o5-verify", "--samples", "1", "--restarts", "1")
+        assert code == 3
+        assert rep["warnings"] == ["verification failed"]
+        assert rep["result"]["passed"] is False
+        assert rep["result"]["off_torus"]["positive"] is False
+
+
 def test_exact_half_loads_neither_numpy_nor_scipy():
     script = """
 import io, sys
@@ -388,8 +419,10 @@ class TestReportValues:
             "p": ["0", "0", "1"],
             "q": ["2", "4", "-5"],
         }
-        witness = FlatWitness("Condition2", None, (Fraction(1, 2), Fraction(1, 2), Fraction(0)))
-        assert _json(witness) == {"kind": "Condition2", "t": None, "eta": ["1/2", "1/2", "0"]}
+        witness = FlatWitness(
+            "Condition1", Fraction(1, 2), (Fraction(1, 2), Fraction(1, 2), Fraction(0))
+        )
+        assert _json(witness) == {"kind": "Condition1", "t": "1/2", "eta": ["1/2", "1/2", "0"]}
 
     def test_scalars(self):
         assert _json([None, True, "x", 0.5, -(10**40), Fraction(4, 2)]) == [

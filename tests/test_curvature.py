@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
+from su3orbifolds import curvature
 from su3orbifolds.curvature import (
     CircleCombo,
     ExhaustedBound,
-    FlatWitness,
-    _system1,
-    _system2,
     find_circle,
     flat_witness,
     repar_normal_form,
@@ -27,23 +28,37 @@ from su3orbifolds.eschenburg6 import (
     validate6,
 )
 from su3orbifolds.eschenburg7 import Validity, positive7
+from su3orbifolds.lattice import feasibility
 
-from oracles import grid_feasible
-from test_eschenburg6 import _random_action6
+from oracles import condition1_system, condition2_system, grid_feasible
+from test_eschenburg6 import HUGE, _random_action6
 
 
 EXAMPLE = TorusAction6(a=(-2, 0, 2), b=(-3, 1, 2), p=(-4, 0, 2), q=(-5, 3, 0))
 
 
 def _check_witness(act, w):
-    """The witness really solves the exact defining system."""
-    eqs = _system1(act) if w.kind == "Condition1" else _system2(act)
-    t = w.t if w.t is not None else Fraction(0)
+    """The witness really solves the paper's Condition 1."""
+    assert w.kind == "Condition1"
     assert all(e >= 0 for e in w.eta) and sum(w.eta) == 1
-    if w.t is not None:
-        assert 0 <= w.t <= 1
-    for c0, ct, c1, c2, c3 in eqs:
-        assert c0 + ct * t + sum(c * e for c, e in zip((c1, c2, c3), w.eta)) == 0
+    assert 0 <= w.t <= 1
+    for c0, ct, c1, c2, c3 in condition1_system(act):
+        assert c0 + ct * w.t + sum(c * e for c, e in zip((c1, c2, c3), w.eta)) == 0
+
+
+@st.composite
+def centroid_actions6(draw, entries):
+    """Torus actions with entries drawn from `entries`.  In half the draws
+    B3 = (b3, q3) is the centroid of the triangle conv{(a_i, p_i)}, so the
+    paper's Condition 2 holds."""
+    a, p = draw(st.tuples(entries, entries, entries)), draw(st.tuples(entries, entries, entries))
+    b0, b1, q0, q1 = draw(st.tuples(entries, entries, entries, entries))
+    if draw(st.booleans()):
+        a = (a[0], a[1], 3 * b1 - a[0] - a[1])
+        p = (p[0], p[1], 3 * q1 - p[0] - p[1])
+        b1, q1 = 2 * b1 - b0, 2 * q1 - q0
+    b, q = (b0, b1, sum(a) - b0 - b1), (q0, q1, sum(p) - q0 - q1)
+    return TorusAction6(a=a, b=b, p=p, q=q)
 
 
 class TestFlatWitness:
@@ -72,11 +87,56 @@ class TestFlatWitness:
         for _ in range(60):
             act = _random_action6(rng)
             w = flat_witness(act)
-            hit = grid_feasible(_system1(act)) or grid_feasible(_system2(act))
+            hit = grid_feasible(condition1_system(act)) or grid_feasible(condition2_system(act))
             if hit:
                 assert w is not None
             if w is None:
                 assert not hit
+
+    def test_one_feasibility_call(self, monkeypatch):
+        calls = []
+
+        def counting(eqs, _inner=feasibility):
+            calls.append(eqs)
+            return _inner(eqs)
+
+        monkeypatch.setattr(curvature, "feasibility", counting)
+        assert flat_witness(EXAMPLE) is None
+        assert len(calls) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(centroid_actions6(st.integers(-4, 4)) | centroid_actions6(HUGE | st.integers(-4, 4)))
+    def test_matches_two_condition_criterion(self, act):
+        assume(validate6(act) is Validity.ORBIFOLD)
+        flat = any(
+            feasibility(system(act)) is not None
+            for system in (condition1_system, condition2_system)
+        )
+        assert (flat_witness(act) is not None) == flat
+
+    def test_condition2_point_is_condition1_point(self):
+        # equal sums give the triangle conv{A_i} and the B_j one centroid,
+        # so B3 = sum(eta_i A_i) puts (B1 + B2)/2 in the triangle at
+        # eta' = (1 - eta)/2: Condition 2 implies Condition 1 at t = 1/2
+        a = sympy.symbols("a1:4")
+        p = sympy.symbols("p1:4")
+        b1, b2, q1, q2 = sympy.symbols("b1 b2 q1 q2")
+        eta = sympy.symbols("eta1:4", nonnegative=True)
+        on_simplex = {eta[2]: 1 - eta[0] - eta[1]}
+        b3 = sum(e * x for e, x in zip(eta, a))
+        q3 = sum(e * x for e, x in zip(eta, p))
+        sums = {b2: sum(a) - b1 - b3, q2: sum(p) - q1 - q3}
+        act = SimpleNamespace(a=a, b=(b1, b2, b3), p=p, q=(q1, q2, q3))
+        t = sympy.Rational(1, 2)
+        eta_half = [(1 - e) / 2 for e in eta]
+        for c0, ct, c1, c2, c3 in condition1_system(act):
+            residual = c0 + ct * t + c1 * eta_half[0] + c2 * eta_half[1] + c3 * eta_half[2]
+            assert sympy.simplify(residual.subs(sums).subs(on_simplex)) == 0
+        assert sympy.simplify(sum(eta_half).subs(on_simplex)) == 1
+        for i, e in enumerate(eta_half):
+            others = sum(eta) - eta[i]
+            assert sympy.simplify((e - others / 2).subs(on_simplex)) == 0
+            assert (others / 2).is_nonnegative
 
     def test_move_invariance(self):
         # positivity is a property of the quotient, preserved by the moves
@@ -147,6 +207,12 @@ class TestFindCircle:
             assert search_circle(act, bound=20) == expected
             checked += 1
         assert checked > 5
+
+    def test_exhausted_bound(self):
+        # the example's first positive circle is (-1, 2), at level 2
+        with pytest.raises(ExhaustedBound) as exc:
+            search_circle(EXAMPLE, bound=1)
+        assert exc.value.bound == 1
 
     def test_search_bound_below_one(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from su3orbifolds.eschenburg7 import (
     ALL_PERMS,
@@ -20,6 +21,8 @@ from su3orbifolds.eschenburg7 import (
     validate7,
 )
 
+from test_eschenburg6 import HUGE
+
 
 def _random_action(rng, span=6):
     while True:
@@ -28,6 +31,21 @@ def _random_action(rng, span=6):
         q.append(sum(p) - sum(q))
         if abs(q[2]) <= 3 * span:
             return CircleAction7(p=p, q=tuple(q))
+
+
+@st.composite
+def circle_actions7(draw, entries):
+    """Circle actions with entries drawn from `entries`, q not a
+    permutation of p; the first entry of q is often an entry of p, as the
+    chains of almost_positive7 need."""
+    p = draw(st.tuples(entries, entries, entries))
+    q0, q1 = draw(st.sampled_from(p) | entries), draw(entries)
+    q = (q0, q1, sum(p) - q0 - q1)
+    assume(sorted(p) != sorted(q))
+    return CircleAction7(p=p, q=q)
+
+
+CIRCLE_ACTIONS = circle_actions7(st.integers(-6, 6)) | circle_actions7(HUGE | st.integers(-6, 6))
 
 
 class TestValidate7:
@@ -124,14 +142,16 @@ class TestAlmostPositive7:
         with pytest.raises(ValueError):
             almost_positive7(CircleAction7(p=(1, 2, 3), q=(3, 1, 2)))
 
-    def test_swap_invariance(self):
-        rng = random.Random(23)
-        for _ in range(150):
-            act = _random_action(rng)
-            if validate7(act) is Validity.NOT_ORBIFOLD:
-                continue
-            swap = CircleAction7(p=act.q, q=act.p)
-            assert almost_positive7(act) == almost_positive7(swap)
+    @settings(max_examples=300, deadline=None)
+    @given(CIRCLE_ACTIONS)
+    def test_swap_invariance(self, act):
+        assert almost_positive7(act) == almost_positive7(CircleAction7(p=act.q, q=act.p))
+
+    @settings(max_examples=300, deadline=None)
+    @given(CIRCLE_ACTIONS)
+    def test_negation_invariance(self, act):
+        negated = CircleAction7(p=tuple(-x for x in act.p), q=tuple(-x for x in act.q))
+        assert almost_positive7(act) == almost_positive7(negated)
 
 
 class TestCohom1Match:
