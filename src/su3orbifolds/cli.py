@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from enum import Enum
 from fractions import Fraction
@@ -307,7 +306,7 @@ def _run_poscurv(args) -> tuple[dict, list, list]:
 def _run_normalize(args) -> tuple[dict, list, list]:
     act = _orbifold_action6(args)
     kernel = kernel_of_action(act)
-    eff, moves = effectivize(act)
+    eff, moves = (act, []) if kernel.is_trivial else effectivize(act)
     repar = repar_normal_form(eff)
     result = {
         "action_kernel": kernel,
@@ -408,14 +407,10 @@ _WEIGHT_FLAGS = ("--a", "--b", "--p", "--q")
 def _build_parser() -> _Parser:
     parser = _Parser(prog="su3orbi", description=__doc__)
     parser.add_argument("--json", action="store_true", help="emit JSON")
-    parser.add_argument(
-        "--tol", type=float, default=1e-10, help="numeric tolerance recorded in reports"
-    )
-    # the global flags are also accepted after the subcommand; SUPPRESS
-    # keeps the trailing copies from clobbering values given up front
+    # --json is also accepted after the subcommand; SUPPRESS keeps the
+    # trailing copy from clobbering a value given up front
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
-    common.add_argument("--tol", type=float, default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add_parser(name, handler, help):
@@ -513,14 +508,13 @@ def run(argv) -> int:
     try:
         args = _PARSER.parse_args(_join_weights(argv))
         as_json = args.json
-        if not math.isfinite(args.tol):
-            raise _malformed(f"argument --tol: must be finite, got {args.tol}")
         report["command"] = args.command
-        report["tol"] = args.tol
+        # nothing reads a tolerance; schema version 1 keeps the field
+        report["tol"] = 1e-10
         report["input"] = {
             k: v
             for k, v in vars(args).items()
-            if k not in ("json", "tol", "command", "handler") and v is not None
+            if k not in ("json", "command", "handler") and v is not None
         }
         result, trace, warnings = args.handler(args)
         report["result"] = result

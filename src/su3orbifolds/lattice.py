@@ -269,97 +269,64 @@ def feasibility(eqs: Iterable[Equality]) -> Optional[RationalWitness]:
     system is infeasible.  Decided by an exact phase-1 simplex (Bland's
     rule) over the non-negative variables (t, s, eta1, eta2, eta3) with
     t + s = 1 and eta1 + eta2 + eta3 = 1; fully deterministic.
+
+    The tableau rows are [t, s, eta1, eta2, eta3 | rhs] with rhs >= 0.
+    Row i starts with its own artificial variable basic, labelled 5 + i;
+    the artificial columns are not stored, since no pivot step reads
+    them, and the labels stay in the basis only for Bland's tie-break.  Raises
+    RuntimeError on the two exits that the algebra rules out: an
+    unbounded entering column (the phase-1 objective, a sum of
+    non-negative artificials, is bounded below) and a positive basic
+    artificial at objective 0.
     """
-    # columns: t, s, e1, e2, e3
-    rows: list[list[Fraction]] = [
-        [Fraction(1), Fraction(1), Fraction(0), Fraction(0), Fraction(0)],
-        [Fraction(0), Fraction(0), Fraction(1), Fraction(1), Fraction(1)],
-    ]
-    rhs: list[Fraction] = [Fraction(1), Fraction(1)]
+    one, zero = Fraction(1), Fraction(0)
+    tab = [[one, one, zero, zero, zero, one], [zero, zero, one, one, one, one]]
     for c0, ct, c1, c2, c3 in eqs:
-        row = [Fraction(ct), Fraction(0), Fraction(c1), Fraction(c2), Fraction(c3)]
-        b = -Fraction(c0)
-        if all(v == 0 for v in row):
-            if b != 0:
+        row = [Fraction(ct), zero, Fraction(c1), Fraction(c2), Fraction(c3), -Fraction(c0)]
+        if not any(row[:-1]):
+            if row[-1] != 0:
                 return None
             continue
-        rows.append(row)
-        rhs.append(b)
-
-    sol = _phase1_simplex(rows, rhs)
-    if sol is None:
-        return None
-    t, _s, e1, e2, e3 = sol
-    return RationalWitness(t=t, eta=(e1, e2, e3))
-
-
-def _phase1_simplex(a: list[list[Fraction]], b: list[Fraction]) -> Optional[list[Fraction]]:
-    """Solve A x = b, x >= 0 exactly; return x or None.  Bland's rule."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    # normalize b >= 0
-    tab = []
-    for i in range(m):
-        row = list(a[i])
-        bi = b[i]
-        if bi < 0:
-            row = [-v for v in row]
-            bi = -bi
-        tab.append(row + [Fraction(0)] * m + [bi])
-    # artificial identity
-    for i in range(m):
-        tab[i][n + i] = Fraction(1)
-    basis = [n + i for i in range(m)]
-    total = n + m
-    # objective: minimize sum of artificials -> reduced cost row
-    cost = [Fraction(0)] * (total + 1)
-    for i in range(m):
-        for j in range(total + 1):
-            cost[j] += tab[i][j]
-    # cost of artificial basics is 1; reduced costs = sum of rows over
-    # non-artificial part minus ... (standard phase-1 tableau)
-    for i in range(m):
-        cost[n + i] = Fraction(0)
+        tab.append(row if row[-1] >= 0 else [-v for v in row])
+    n = 5
+    basis = [n + i for i in range(len(tab))]
+    # phase-1 reduced costs: each artificial costs 1, so the column sums
+    cost = [sum(col) for col in zip(*tab)]
 
     while True:
-        # entering: first structural column with positive reduced cost (Bland);
-        # artificial columns never re-enter
-        enter = -1
-        for j in range(n):
-            if cost[j] > 0:
-                enter = j
-                break
-        if enter == -1:
+        # entering: first column with positive reduced cost (Bland)
+        enter = next((j for j in range(n) if cost[j] > 0), None)
+        if enter is None:
             break
-        # ratio test, Bland tie-break on smallest basis index
+        # ratio test, Bland tie-break on smallest basis label
         leave = -1
         best: Optional[Fraction] = None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][total] / tab[i][enter]
+        for i, row in enumerate(tab):
+            if row[enter] > 0:
+                ratio = row[n] / row[enter]
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best = ratio
                     leave = i
         if leave == -1:
-            # unbounded phase-1 objective cannot happen; treat as infeasible
-            return None
+            raise RuntimeError("phase-1 simplex: unbounded entering column")
         piv = tab[leave][enter]
-        tab[leave] = [v / piv for v in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [v - f * w for v, w in zip(tab[i], tab[leave])]
+        prow = tab[leave] = [v / piv for v in tab[leave]]
+        for i, row in enumerate(tab):
+            if i != leave and row[enter] != 0:
+                f = row[enter]
+                tab[i] = [v - f * w for v, w in zip(row, prow)]
         f = cost[enter]
         if f != 0:
-            cost = [v - f * w for v, w in zip(cost, tab[leave])]
+            cost = [v - f * w for v, w in zip(cost, prow)]
         basis[leave] = enter
 
-    if cost[total] != 0:
+    if cost[n] != 0:
         return None
-    x = [Fraction(0)] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = tab[i][total]
-        elif tab[i][total] != 0:
-            return None  # artificial stuck at positive level
-    return x
+    x = [zero] * n
+    for label, row in zip(basis, tab):
+        if label < n:
+            x[label] = row[n]
+        elif row[n] != 0:
+            raise RuntimeError("phase-1 simplex: positive artificial at objective 0")
+    t, _s, e1, e2, e3 = x
+    return RationalWitness(t=t, eta=(e1, e2, e3))

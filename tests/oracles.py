@@ -4,18 +4,23 @@ Kept deliberately naive in structure (full enumeration over torsion
 points of the torus and over a dense rational grid) with no shared code
 paths with the implementations under test.  The flat-plane reference is
 the paper's criterion with both of its conditions; curvature.flat_witness
-solves only the first, which the second implies.  The one numeric oracle,
+solves only the first, which the second implies.  The reference
+feasibility solver is the full-tableau simplex that lattice.feasibility
+replaced, kept to pin its pivots and witnesses.  The one numeric oracle,
 distance_to_torus_fd, imports scipy and su3orbifolds.o5 when called, so
 loading this module costs neither.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
+from typing import Iterable, Optional
 
 import numpy as np
 
 from su3orbifolds.eschenburg6 import TorusAction6, cohom1_params, kernel_of_action
+from su3orbifolds.lattice import Equality, RationalWitness
 
 
 def torsion_count(rows, m: int) -> int:
@@ -102,6 +107,115 @@ def condition2_system(act: TorusAction6):
         (b[2], 0, -a[0], -a[1], -a[2]),
         (q[2], 0, -p[0], -p[1], -p[2]),
     ]
+
+
+# Reference for su3orbifolds.lattice.feasibility: the full-tableau phase-1
+# simplex it replaced, copied as it was.  It carries the m artificial
+# columns through every pivot and returns None on the two exits that the
+# algebra rules out; the implementation drops the columns and raises there.
+
+
+def feasibility(eqs: Iterable[Equality]) -> Optional[RationalWitness]:
+    """Exact feasibility of affine equalities over [0,1] x simplex.
+
+    Returns a witness satisfying every equality exactly, or None if the
+    system is infeasible.  Decided by an exact phase-1 simplex (Bland's
+    rule) over the non-negative variables (t, s, eta1, eta2, eta3) with
+    t + s = 1 and eta1 + eta2 + eta3 = 1; fully deterministic.
+    """
+    # columns: t, s, e1, e2, e3
+    rows: list[list[Fraction]] = [
+        [Fraction(1), Fraction(1), Fraction(0), Fraction(0), Fraction(0)],
+        [Fraction(0), Fraction(0), Fraction(1), Fraction(1), Fraction(1)],
+    ]
+    rhs: list[Fraction] = [Fraction(1), Fraction(1)]
+    for c0, ct, c1, c2, c3 in eqs:
+        row = [Fraction(ct), Fraction(0), Fraction(c1), Fraction(c2), Fraction(c3)]
+        b = -Fraction(c0)
+        if all(v == 0 for v in row):
+            if b != 0:
+                return None
+            continue
+        rows.append(row)
+        rhs.append(b)
+
+    sol = _phase1_simplex(rows, rhs)
+    if sol is None:
+        return None
+    t, _s, e1, e2, e3 = sol
+    return RationalWitness(t=t, eta=(e1, e2, e3))
+
+
+def _phase1_simplex(a: list[list[Fraction]], b: list[Fraction]) -> Optional[list[Fraction]]:
+    """Solve A x = b, x >= 0 exactly; return x or None.  Bland's rule."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    # normalize b >= 0
+    tab = []
+    for i in range(m):
+        row = list(a[i])
+        bi = b[i]
+        if bi < 0:
+            row = [-v for v in row]
+            bi = -bi
+        tab.append(row + [Fraction(0)] * m + [bi])
+    # artificial identity
+    for i in range(m):
+        tab[i][n + i] = Fraction(1)
+    basis = [n + i for i in range(m)]
+    total = n + m
+    # objective: minimize sum of artificials -> reduced cost row
+    cost = [Fraction(0)] * (total + 1)
+    for i in range(m):
+        for j in range(total + 1):
+            cost[j] += tab[i][j]
+    # cost of artificial basics is 1; reduced costs = sum of rows over
+    # non-artificial part minus ... (standard phase-1 tableau)
+    for i in range(m):
+        cost[n + i] = Fraction(0)
+
+    while True:
+        # entering: first structural column with positive reduced cost (Bland);
+        # artificial columns never re-enter
+        enter = -1
+        for j in range(n):
+            if cost[j] > 0:
+                enter = j
+                break
+        if enter == -1:
+            break
+        # ratio test, Bland tie-break on smallest basis index
+        leave = -1
+        best: Optional[Fraction] = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][total] / tab[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave == -1:
+            # unbounded phase-1 objective cannot happen; treat as infeasible
+            return None
+        piv = tab[leave][enter]
+        tab[leave] = [v / piv for v in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [v - f * w for v, w in zip(tab[i], tab[leave])]
+        f = cost[enter]
+        if f != 0:
+            cost = [v - f * w for v, w in zip(cost, tab[leave])]
+        basis[leave] = enter
+
+    if cost[total] != 0:
+        return None
+    x = [Fraction(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = tab[i][total]
+        elif tab[i][total] != 0:
+            return None  # artificial stuck at positive level
+    return x
 
 
 def effectivize_cohom1_scan(d: int, a, b):

@@ -16,7 +16,7 @@ import jsonschema
 import pytest
 
 import su3orbifolds
-from su3orbifolds import cli, curvature
+from su3orbifolds import cli, curvature, eschenburg6
 from su3orbifolds.cli import _json, run
 from su3orbifolds.curvature import FlatWitness
 from su3orbifolds.eschenburg6 import GL2Z, Permute, Scale, Shift, Swap, TorusAction6
@@ -205,8 +205,35 @@ class TestPoscurv:
             "malformed input: circle search bound must be at least 1, got -1"
         ]
 
+    def test_zero_flat_row(self):
+        # the first flat-plane equality reads 1 = 0 (TestFlatWitness)
+        code, rep = run_json(
+            "poscurv", "--a", "0,0,0", "--b", "1,1,-2", "--p", "-3,-3,0", "--q", "-3,-2,-1"
+        )
+        assert code == 0
+        res = rep["result"]
+        assert res["positively_curved"] is True and res["flat_witness"] is None
+        assert (res["circle"]["lam"], res["circle"]["mu"]) == ("0", "1")
+
 
 class TestNormalize:
+    def test_one_kernel_call_when_effective(self, monkeypatch):
+        calls = []
+
+        def counting(act, _inner=eschenburg6.kernel_of_action):
+            calls.append(act)
+            return _inner(act)
+
+        monkeypatch.setattr(cli, "kernel_of_action", counting)
+        monkeypatch.setattr(eschenburg6, "kernel_of_action", counting)
+        code, rep = run_json(
+            "normalize", "--a", "0,1,1", "--b", "2,3,-3", "--p", "0,0,1", "--q", "2,4,-5"
+        )
+        assert code == 0
+        assert rep["result"]["action_kernel"]["name"] == "trivial"
+        assert rep["normalization_trace"] == []
+        assert len(calls) == 1
+
     def test_block_form(self):
         code, rep = run_json(
             "normalize", "--a", "-2,0,2", "--b", "-3,1,2", "--p", "-4,0,2", "--q", "-5,3,0"
@@ -365,18 +392,21 @@ class TestParsing:
         assert out.startswith("schema_version: 1\n")
         assert f"malformed input: {warning}" in out
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
-    def test_non_finite_tol_exit1(self, tol):
-        code, out = run_cli(f"--tol={tol}", "wcp", "--p", "1", "--q", "1", "--r", "3", "--json")
+    @pytest.mark.parametrize(
+        "argv, rest",
+        [
+            (("--tol=0.5", "wcp", "--p", "1", "--q", "1", "--r", "3"), "--tol=0.5"),
+            (("wcp", "--p", "1", "--q", "1", "--r", "3", "--tol", "0.5"), "--tol 0.5"),
+        ],
+        ids=["global", "trailing"],
+    )
+    def test_tol_flag_exit1(self, argv, rest):
+        # no subcommand reads a tolerance, so there is no flag for it; the
+        # report's "tol" field stays null until the arguments parse
+        code, rep = run_json(*argv)
         assert code == 1
-
-        def reject(name):
-            raise ValueError(f"{name} is not JSON")
-
-        report = json.loads(out, parse_constant=reject)
-        assert report["warnings"] == [
-            f"malformed input: argument --tol: must be finite, got {float(tol)}"
-        ]
+        assert rep["warnings"] == [f"malformed input: unrecognized arguments: {rest}"]
+        assert rep["tol"] is None
 
     def test_parser_is_built_once(self, monkeypatch):
         monkeypatch.setattr(cli, "_build_parser", None)
@@ -385,7 +415,11 @@ class TestParsing:
 
     def test_no_state_between_runs(self):
         wcp = ("wcp", "--p", "1", "--q", "1", "--r", "3")
-        assert run_json("--tol", "0.5", *wcp)[1]["tol"] == 0.5
+        assert run_cli(*wcp, "--json")[1].startswith("{")
+        assert run_cli(*wcp)[1].startswith("schema_version: 1\n")
+        poscurv = TestPoscurv.ARGS
+        assert run_json(*poscurv, "--bound", "1")[1]["input"]["bound"] == 1
+        assert run_json(*poscurv)[1]["input"]["bound"] == 100
         assert run_json(*wcp)[1]["tol"] == 1e-10
         golden = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
         for case in golden[:4]:

@@ -65,6 +65,11 @@ class TestFlatWitness:
     def test_example_positively_curved(self):
         assert flat_witness(EXAMPLE) is None
 
+    def test_zero_flat_row(self):
+        # b1 = b2 = 1 with a = 0: the first flat-plane equality reads 1 = 0
+        act = TorusAction6(a=(0, 0, 0), b=(1, 1, -2), p=(-3, -3, 0), q=(-3, -2, -1))
+        assert flat_witness(act) is None
+
     def test_not_orbifold_raises(self):
         act = TorusAction6(a=(0, 0, 0), b=(0, 0, 0), p=(1, 2, 3), q=(1, 2, 3))
         with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ from su3orbifolds.lattice import (
     snf2x2,
 )
 
-from oracles import grid_feasible, torsion_profile_matches
+from oracles import feasibility as reference_feasibility, grid_feasible, torsion_profile_matches
 
 
 class TestSnf2:
@@ -165,7 +165,57 @@ class TestKernelElements:
                     assert (r1 * u + r2 * s) % 1 == 0
 
 
+FLAT_SMALL = st.integers(-6, 6)
+FLAT_HUGE = st.integers(10**29, 10**40 - 1) | st.integers(-(10**40 - 1), -(10**29))
+
+
+@st.composite
+def flat_systems(draw, entries):
+    """The flat-plane equalities (1-t)B1 + t*B2 = sum(eta_i A_i) of
+    curvature.flat_witness, for points A_i = (a_i, p_i) and B_j = (b_j, q_j)
+    with equal coordinate sums.  A third of the draws put B3 at the
+    centroid of the triangle conv{A_i}, a third put a point of the
+    triangle on the segment [B1, B2]; both are feasible."""
+    pair = st.tuples(entries, entries)
+    x = [draw(pair) for _ in range(3)]
+    b1 = draw(pair)
+    plant = draw(st.sampled_from(("none", "centroid", "segment")))
+    if plant == "none":
+        a, b2 = x, draw(pair)
+    elif plant == "centroid":
+        a = [(3 * u, 3 * v) for u, v in x]
+        b3 = (sum(u for u, _ in x), sum(v for _, v in x))
+        b2 = tuple(sum(c) - s - t for c, s, t in zip(zip(*a), b1, b3))
+    else:
+        w = draw(st.tuples(*[st.integers(0, 3)] * 3).filter(any))
+        a = [(sum(w) * u, sum(w) * v) for u, v in x]
+        pt = tuple(sum(wi * c for wi, c in zip(w, col)) for col in zip(*x))
+        k = draw(st.integers(1, 4))  # pt = (1 - 1/k) B1 + (1/k) B2
+        b2 = tuple(s + k * (c - s) for s, c in zip(b1, pt))
+    return [
+        (b1[i], b2[i] - b1[i], -a[0][i], -a[1][i], -a[2][i]) for i in range(2)
+    ]
+
+
+@st.composite
+def tie_heavy_systems(draw):
+    """Small systems of repeated and rescaled rows over {-2, ..., 2}, where
+    the ratio test ties often and Bland's rule decides the pivot."""
+    base = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * 5), min_size=1, max_size=3))
+    picks = st.tuples(st.sampled_from(base), st.sampled_from((1, -1, 2)))
+    return [tuple(r * c for c in row) for row, r in draw(st.lists(picks, min_size=1, max_size=5))]
+
+
 class TestFeasibility:
+    @settings(max_examples=400, deadline=None)
+    @given(flat_systems(FLAT_SMALL) | flat_systems(FLAT_HUGE) | tie_heavy_systems())
+    def test_equals_full_tableau_reference(self, eqs):
+        assert feasibility(eqs) == reference_feasibility(eqs)
+
+    def test_zero_row(self):
+        assert feasibility([(1, 0, 0, 0, 0)]) is None
+        assert feasibility([(0, 0, 0, 0, 0), (1, 0, 0, 0, 0)]) is None
+
     def test_trivial_equality(self):
         w = feasibility([(Fraction(0),) * 5])
         assert w is not None
