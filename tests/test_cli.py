@@ -408,6 +408,20 @@ class TestParsing:
         assert rep["warnings"] == [f"malformed input: unrecognized arguments: {rest}"]
         assert rep["tol"] is None
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_tol_exit1(self, tol):
+        # a non-finite --tol is refused like any other --tol, and the report
+        # stays strict JSON: no NaN or Infinity leaks into it
+        code, out = run_cli(f"--tol={tol}", "wcp", "--p", "1", "--q", "1", "--r", "3", "--json")
+        assert code == 1
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        report = json.loads(out, parse_constant=reject)
+        assert report["warnings"] == [f"malformed input: unrecognized arguments: --tol={tol}"]
+        assert report["tol"] is None
+
     def test_parser_is_built_once(self, monkeypatch):
         monkeypatch.setattr(cli, "_build_parser", None)
         code, _ = run_json("wcp", "--p", "1", "--q", "1", "--r", "3")
