@@ -48,7 +48,7 @@ from .eschenburg7 import (
     positive7,
     validate7,
 )
-from .lattice import AbelianGroup2
+from .lattice import TRIVIAL_GROUP, AbelianGroup2
 from .special import NotPrimitiveError, ZeroWeightError, weighted_cp, wu_quotient
 
 EXIT_OK = 0
@@ -205,15 +205,14 @@ def _orbifold_action6(args) -> TorusAction6:
 
 def _run_analyze6(args) -> tuple[dict, list, list]:
     act = _orbifold_action6(args)
-    kernel = kernel_of_action(act)
-    result = {"validity": Validity.ORBIFOLD, "action_kernel": kernel}
-    moves = []
-    warnings = []
-    if not kernel.is_trivial:
-        act, moves = effectivize(act)
-        warnings.append("action was ineffective; analyzed the effectivized action")
-        result["effectivized_action"] = act
     rep = singular_report(act)
+    # effectivize makes a move exactly when the kernel is nontrivial
+    kernel = kernel_of_action(act) if rep.moves else TRIVIAL_GROUP
+    result = {"validity": Validity.ORBIFOLD, "action_kernel": kernel}
+    warnings = []
+    if rep.moves:
+        warnings.append("action was ineffective; analyzed the effectivized action")
+        result["effectivized_action"] = rep.action
     result["vertex_groups"] = {PERM_NAMES[sig]: rep.vertices[sig] for sig in VERTEX_ORDER}
     result["edge_groups"] = {
         f"L{i}{j}": {
@@ -233,7 +232,7 @@ def _run_analyze6(args) -> tuple[dict, list, list]:
         {sig: str(rep.vertices[sig]) for sig in VERTEX_ORDER},
         {ij: str(rep.edges[ij].group) for ij in EDGE_ORDER},
     )
-    return _json(result), _json(moves), warnings
+    return _json(result), _json(rep.moves), warnings
 
 
 def _run_cohom1(args) -> tuple[dict, list, list]:

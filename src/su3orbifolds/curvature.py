@@ -99,20 +99,14 @@ class ExhaustedBound(RuntimeError):
 
 def _candidates(bound: int):
     # canonical representatives: mu > 0, or (lam, mu) = (1, 0); ordered by
-    # max(|lam|, |mu|), then |lam|, with positive lam first on ties
+    # level m = max(|lam|, |mu|), then |lam|, with positive lam first on
+    # ties, then mu; below |lam| = m only mu = m reaches level m
     for m in range(1, bound + 1):
-        level = []
-        for lam in range(-m, m + 1):
-            for mu in range(0, m + 1):
-                if max(abs(lam), mu) != m:
-                    continue
-                if mu == 0 and lam != 1:
-                    continue
-                if gcd(lam, mu) != 1:
-                    continue
-                level.append((lam, mu))
-        level.sort(key=lambda c: (abs(c[0]), c[0] < 0, c[1]))
-        yield from level
+        for a in range(m + 1):
+            for lam in (a, -a) if a else (0,):
+                for mu in range(0 if lam == 1 else 1, m + 1) if a == m else (m,):
+                    if gcd(lam, mu) == 1:
+                        yield lam, mu
 
 
 def search_circle(act: TorusAction6, bound: int = 100) -> CircleCombo:

@@ -148,7 +148,8 @@ class SingularLocusReport:
 
     vertices: dict[Permutation3, AbelianGroup2]
     edges: dict[tuple[int, int], EdgeReport]
-    effective: bool
+    action: TorusAction6
+    moves: tuple[EquivalenceMove, ...]
 
     def singular_vertices(self) -> dict[Permutation3, AbelianGroup2]:
         return {s: g for s, g in self.vertices.items() if not g.is_trivial}
@@ -167,12 +168,11 @@ def singular_report(act: TorusAction6) -> SingularLocusReport:
     """Full singular-locus report for the quotient of the torus action.
 
     The report describes the quotient, so an ineffective kernel is
-    removed first; the `effective` flag records whether the input
-    already acted effectively.
+    removed first: `action` is the effective action whose isotropy groups
+    it lists, and `moves` the effectivize moves that led there (empty when
+    the input already acted effectively).  Raises ValueError if not an orbifold.
     """
     eff, moves = effectivize(act)
-    if validate6(eff) is not Validity.ORBIFOLD:
-        raise ValueError("not an orbifold action")
     vertices = {s: gamma6(eff, s) for s in ALL_PERMS}
     edges = {}
     for e in EDGE_ORDER:
@@ -180,7 +180,7 @@ def singular_report(act: TorusAction6) -> SingularLocusReport:
         if any(vertices[s].order % group.order != 0 for s in endpoints):
             raise RuntimeError(f"stratum group does not divide endpoints at L_{e}")
         edges[e] = EdgeReport(group, endpoints)
-    return SingularLocusReport(vertices=vertices, edges=edges, effective=not moves)
+    return SingularLocusReport(vertices=vertices, edges=edges, action=eff, moves=tuple(moves))
 
 
 # ---------------------------------------------------------------------------

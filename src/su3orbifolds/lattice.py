@@ -105,19 +105,16 @@ def row_lattice_basis(rows: Sequence[Row]) -> tuple[int, int, int]:
     a = b = c = 0
     for x, y in rows:
         x, y = int(x), int(y)
-        if a != 0:
-            if x != 0:
-                g, u, v = ext_gcd(a, x)
-                leftover = (a * y - x * b) // g
-                a, b = g, u * b + v * y
-                c = gcd(c, leftover)
-            # x == 0: row only constrains the second coordinate
-            else:
-                c = gcd(c, y)
-        elif x != 0:
+        if x == 0:
+            # the row only constrains the second coordinate
+            c = gcd(c, y)
+        elif a == 0:
             a, b = x, y
         else:
-            c = gcd(c, y)
+            g, u, v = ext_gcd(a, x)
+            leftover = (a * y - x * b) // g
+            a, b = g, u * b + v * y
+            c = gcd(c, leftover)
     if a < 0:
         a, b = -a, -b
     return a, b, abs(c)
@@ -135,7 +132,7 @@ def snf2x2(m: Sequence[Sequence[int]]) -> tuple[Matrix2, Matrix2, Matrix2]:
     """Diagonalize a 2x2 integer matrix: m = U @ D @ V.
 
     U and V are unimodular and D is diagonal.  The entries of D keep their
-    signs and need not divide each other; `_solution_lattice` completes
+    signs and need not divide each other; `kernel_generator` completes
     the Smith form.  Column steps clear D[0][1] and row steps clear
     D[1][0] (a swap, an exact shear, or an extended-gcd rotation), in
     alternation until both vanish.
@@ -181,30 +178,6 @@ def snf2x2(m: Sequence[Sequence[int]]) -> tuple[Matrix2, Matrix2, Matrix2]:
     raise RuntimeError("SNF reduction did not terminate")  # pragma: no cover
 
 
-def _solution_lattice(rows: Sequence[Row]) -> tuple[int, int, Matrix2]:
-    """Describe {x in R^2 : M x in Z^r for all rows} modulo Z^2.
-
-    Returns (d1, d2, T) with d1 | d2 and the solutions being
-    { T (k/d1, l/d2) } for a unimodular 2x2 matrix T.  Raises if the
-    solution set is not finite modulo Z^2 (rank-deficient relation matrix).
-    """
-    a, b, c = row_lattice_basis(rows)
-    if a == 0 or c == 0:
-        raise ValueError("kernel is infinite")
-    m = [[a, b], [0, c]]
-    t = [[1, 0], [0, 1]]  # accumulated column operations
-    while True:
-        _u, d, v = snf2x2(m)
-        cops = _unimodular_inverse(v)
-        t = [[sum(t[i][k] * cops[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
-        d1, d2 = abs(d[0][0]), abs(d[1][1])
-        if d2 % d1 == 0:
-            return d1, d2, t
-        # couple the diagonal entries (row op) and reduce again; the new d1
-        # is gcd(d1, d2) < d1, so the loop ends
-        m = [[d[0][0], d[1][1]], [0, d[1][1]]]
-
-
 def kernel_group(rows: Sequence[Row]) -> AbelianGroup2:
     """Structure of {(z, w) in T^2 : z^{m1} w^{m2} = 1 for every row (m1, m2)}.
 
@@ -214,29 +187,30 @@ def kernel_group(rows: Sequence[Row]) -> AbelianGroup2:
     return AbelianGroup2(*snf2(rows))
 
 
-def kernel_elements(rows: Sequence[Row]) -> list[tuple[Fraction, Fraction]]:
-    """All elements of a finite kernel as exact pairs (x, y) in [0,1)^2.
-
-    The pair (x, y) stands for (e^{2 pi i x}, e^{2 pi i y}).  Raises if the
-    kernel is infinite.
-    """
-    d1, d2, t = _solution_lattice(rows)
-    out = []
-    for k in range(d1):
-        for l in range(d2):
-            x = Fraction(t[0][0] * k, d1) + Fraction(t[0][1] * l, d2)
-            y = Fraction(t[1][0] * k, d1) + Fraction(t[1][1] * l, d2)
-            out.append((x % 1, y % 1))
-    return out
-
-
 def kernel_generator(rows: Sequence[Row]) -> Optional[tuple[int, int, int]]:
     """A maximal-order generator (k, l, n) of a finite kernel, gcd(k, l) = 1.
 
     The element is (e^{2 pi i k/n}, e^{2 pi i l/n}) of exact order n = d2.
     Returns None for a trivial kernel; raises for an infinite one.
+
+    The kernel is { T (k/d1, l/d2) } modulo Z^2, T unimodular: the column
+    operations of `snf2x2` on the Hermite basis of the rows, accumulated.
     """
-    d1, d2, t = _solution_lattice(rows)
+    a, b, c = row_lattice_basis(rows)
+    if a == 0 or c == 0:
+        raise ValueError("kernel is infinite")
+    m = [[a, b], [0, c]]
+    t = [[1, 0], [0, 1]]
+    while True:
+        _u, d, v = snf2x2(m)
+        cops = _unimodular_inverse(v)
+        t = [[sum(t[i][k] * cops[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+        d1, d2 = abs(d[0][0]), abs(d[1][1])
+        if d2 % d1 == 0:
+            break
+        # couple the diagonal entries (row op) and reduce again; the new d1
+        # is gcd(d1, d2) < d1, so the loop ends
+        m = [[d[0][0], d[1][1]], [0, d[1][1]]]
     if d2 == 1:
         return None
     # second SNF coordinate has the maximal order d2; its image under the

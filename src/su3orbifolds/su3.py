@@ -159,7 +159,11 @@ def horizontal_basis_O5(
     # re-orthonormalize under inner_nu
     gram_b = np.array([[inner_nu(e, f, m) for f in basis] for e in basis])
     gram = null.T @ gram_b @ null
-    chol = np.linalg.cholesky(gram)
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        # a LinAlgError is a ValueError, which would read as malformed input
+        raise RuntimeError("horizontal Gram matrix degenerated: broken invariant") from exc
     frame = null @ np.linalg.inv(chol).T  # inner_nu-orthonormal coefficients
     return [combine(frame[:, k], basis) for k in range(5)], frame
 

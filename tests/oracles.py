@@ -6,7 +6,8 @@ paths with the implementations under test.  The flat-plane reference is
 the paper's criterion with both of its conditions; curvature.flat_witness
 solves only the first, which the second implies.  The reference
 feasibility solver is the full-tableau simplex that lattice.feasibility
-replaced, kept to pin its pivots and witnesses.  The one numeric oracle,
+replaced, kept to pin its pivots and witnesses; circle_candidates is the
+scan-filter-sort form of the circle-search order.  The one numeric oracle,
 distance_to_torus_fd, imports scipy and su3orbifolds.o5 when called, so
 loading this module costs neither.
 """
@@ -245,6 +246,26 @@ def effectivize_cohom1_scan(d: int, a, b):
             if kernel_of_action(act).is_trivial:
                 return na, nb
     raise RuntimeError("effectivization of the family action failed")
+
+
+def circle_candidates(bound: int):
+    """Reference for curvature._candidates: scans every pair of each level,
+    filters the canonical coprime ones and sorts them."""
+    # canonical representatives: mu > 0, or (lam, mu) = (1, 0); ordered by
+    # max(|lam|, |mu|), then |lam|, with positive lam first on ties
+    for m in range(1, bound + 1):
+        level = []
+        for lam in range(-m, m + 1):
+            for mu in range(0, m + 1):
+                if max(abs(lam), mu) != m:
+                    continue
+                if mu == 0 and lam != 1:
+                    continue
+                if gcd(lam, mu) != 1:
+                    continue
+                level.append((lam, mu))
+        level.sort(key=lambda c: (abs(c[0]), c[0] < 0, c[1]))
+        yield from level
 
 
 def distance_to_torus_fd(g) -> float:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import io
 import json
 import os
@@ -106,6 +107,35 @@ class TestAnalyze6:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "weights, kernel, kernel_calls",
+        [
+            (ARGS[1:], "trivial", 1),
+            (("--a", "-2,0,2", "--b", "-3,1,2", "--p", "-4,0,2", "--q", "-5,3,0"), "Z_2", 3),
+        ],
+    )
+    def test_effectivized_once(self, monkeypatch, weights, kernel, kernel_calls):
+        # singular_report effectivizes; the CLI asks for the kernel only
+        # when that made a move
+        calls = {"kernel_of_action": 0, "effectivize": 0}
+
+        def counting(name):
+            inner = getattr(eschenburg6, name)
+
+            def wrapper(act):
+                calls[name] += 1
+                return inner(act)
+
+            monkeypatch.setattr(cli, name, wrapper)
+            monkeypatch.setattr(eschenburg6, name, wrapper)
+
+        counting("kernel_of_action")
+        counting("effectivize")
+        code, rep = run_json("analyze6", *weights)
+        assert code == 0
+        assert rep["result"]["action_kernel"]["name"] == kernel
+        assert calls == {"kernel_of_action": kernel_calls, "effectivize": 1}
+
 
 class TestCohom1:
     def test_family_orders(self):
@@ -161,6 +191,15 @@ class TestPoscurv:
             assert w["kind"] == "Condition1"
             assert len(w["eta"]) == 3
             assert res["circle"] is None
+
+    @pytest.mark.parametrize("field, value", [("kind", "Condition2"), ("t", None)])
+    def test_schema_rejects_other_witness(self, field, value):
+        _, rep = run_json(
+            "poscurv", "--a", "1,2,0", "--b", "0,0,3", "--p", "0,1,1", "--q", "2,0,0"
+        )
+        rep["result"]["flat_witness"][field] = value
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(rep, SCHEMA)
 
     def test_one_flat_witness_per_query(self, monkeypatch):
         calls = []
@@ -321,6 +360,13 @@ class TestO5Verify:
         assert code == 3
         assert rep["warnings"] == ["internal invariant breach: planted residual"]
 
+    def test_degenerate_metric_exit3(self):
+        # at this nu the horizontal Gram matrix is not positive definite
+        code, rep = run_json("o5-verify", "--nu", "1e-300", "--samples", "1", "--restarts", "1")
+        assert code == 3
+        assert rep["warnings"] == [
+            "internal invariant breach: horizontal Gram matrix degenerated: broken invariant"
+        ]
 
     def test_failed_verification_exit3(self, monkeypatch):
         from su3orbifolds import o5
@@ -360,6 +406,14 @@ print(sorted(m for m in ("numpy", "scipy") if m in sys.modules))
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_no_private_names_imported_across_modules():
+    for path in sorted(Path(su3orbifolds.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not private, f"{path.name} imports {private} from .{node.module}"
 
 
 class TestParsing:

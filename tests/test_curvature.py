@@ -30,7 +30,7 @@ from su3orbifolds.eschenburg6 import (
 from su3orbifolds.eschenburg7 import Validity, positive7
 from su3orbifolds.lattice import feasibility
 
-from oracles import condition1_system, condition2_system, grid_feasible
+from oracles import circle_candidates, condition1_system, condition2_system, grid_feasible
 from test_eschenburg6 import HUGE, _random_action6
 
 
@@ -228,6 +228,10 @@ class TestFindCircle:
     def test_coprimality_enforced(self):
         with pytest.raises(ValueError):
             CircleCombo(2, 4)
+
+    def test_candidate_order_matches_scan(self):
+        # each level only appends, so every smaller bound is a prefix
+        assert list(curvature._candidates(120)) == list(circle_candidates(120))
 
 
 class TestReparNormalForm:

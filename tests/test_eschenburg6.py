@@ -177,10 +177,13 @@ class TestSingularReport:
 
     def test_effective_flag(self):
         act = TorusAction6(a=(1, 2, 0), b=(0, 0, 3), p=(0, 1, 1), q=(2, 0, 0))
-        assert singular_report(act).effective
+        rep = singular_report(act)
+        assert rep.moves == () and rep.action == act
         doubled = apply_equivalence(act, Scale(lam=Fraction(2), mu=Fraction(1)))
         rep = singular_report(doubled)
-        assert not rep.effective
+        eff, moves = effectivize(doubled)
+        assert rep.moves == tuple(moves) != ()
+        assert rep.action == eff
         assert rep.group_multiset() == singular_report(act).group_multiset()
 
     def test_not_orbifold_raises(self):
