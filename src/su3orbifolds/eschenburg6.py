@@ -190,7 +190,8 @@ def singular_report(act: TorusAction6) -> SingularLocusReport:
 
 @dataclass(frozen=True)
 class Swap:
-    """Exchange the roles of the two circles: (a,b,p,q) -> (b,a,q,p)."""
+    """Exchange left and right in both circles: (a,b,p,q) -> (b,a,q,p),
+    the action transported by g -> g^{-1}."""
 
 
 @dataclass(frozen=True)

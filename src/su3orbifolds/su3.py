@@ -9,6 +9,7 @@ K component by nu in (0, 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import sqrt
 
 import numpy as np
@@ -60,6 +61,17 @@ def project_K(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _split_K(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x - project_K(x), project_K(x)): the two parts that inner_nu weighs."""
+    xk = project_K(x)
+    return x - xk, xk
+
+
+def _inner_split(x, y, nu: float) -> float:
+    """inner_nu of two vectors given as their _split_K pairs."""
+    return inner(x[0], y[0]) + nu * inner(x[1], y[1])
+
+
 @dataclass(frozen=True)
 class CheegerMetric:
     """Deformed metric scaling the K component by nu in (0, 1)."""
@@ -70,10 +82,22 @@ class CheegerMetric:
         if not 0 < self.nu < 1:
             raise ValueError("nu must lie strictly between 0 and 1")
 
+    def gram(self, xs, ys) -> np.ndarray:
+        """The matrix [[inner_nu(x, y, self) for y in ys] for x in xs],
+        projecting each vector onto K once."""
+        xs, ys = [_split_K(x) for x in xs], [_split_K(y) for y in ys]
+        return np.array([[_inner_split(x, y, self.nu) for y in ys] for x in xs])
+
+    @cached_property
+    def _basis_gram(self) -> np.ndarray:
+        """The inner_nu Gram of SU3_BASIS, built on first use (read-only)."""
+        return _frozen(
+            np.array([[_inner_split(e, f, self.nu) for f in _BASIS_SPLIT] for e in _BASIS_SPLIT])
+        )
+
 
 def inner_nu(x: np.ndarray, y: np.ndarray, m: CheegerMetric) -> float:
-    xk, yk = project_K(x), project_K(y)
-    return inner(x - xk, y - yk) + m.nu * inner(xk, yk)
+    return _inner_split(_split_K(x), _split_K(y), m.nu)
 
 
 def is_su3(x: np.ndarray, tol: float = 1e-12) -> bool:
@@ -111,6 +135,17 @@ def su3_basis() -> list[np.ndarray]:
     return basis
 
 
+def _frozen(x: np.ndarray) -> np.ndarray:
+    x.setflags(write=False)
+    return x
+
+
+# The su3_basis() vectors and their _split_K parts, built once per process
+# and read-only; su3_basis() itself still returns a fresh list.
+SU3_BASIS = tuple(_frozen(e) for e in su3_basis())
+_BASIS_SPLIT = tuple(tuple(_frozen(p) for p in _split_K(e)) for e in SU3_BASIS)
+
+
 def coords(x: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
     """Coefficients of x in an inner-orthonormal basis."""
     return np.array([inner(x, e) for e in basis])
@@ -127,7 +162,7 @@ def haar_su3(rng: np.random.Generator) -> np.ndarray:
 
 def random_su3_element(rng: np.random.Generator) -> np.ndarray:
     """Random element of su(3) with independent normal coefficients."""
-    return combine(rng.standard_normal(8), su3_basis())
+    return combine(rng.standard_normal(8), SU3_BASIS)
 
 
 def vertical_basis_O5(g: np.ndarray) -> list[np.ndarray]:
@@ -148,24 +183,24 @@ def horizontal_basis_O5(
 
     Returns the five matrices and their coefficient frame (8 x 5) in the
     su3_basis coordinates.  Raises when the vertical space degenerates.
+    The basis, its K splits and the metric's Gram of it are built once;
+    each call projects its three vertical vectors once.
     """
-    basis = su3_basis()
-    vert = vertical_basis_O5(g)
-    a = np.array([[inner_nu(e, v, m) for e in basis] for v in vert])
+    vert = [_split_K(v) for v in vertical_basis_O5(g)]
+    a = np.array([[_inner_split(e, v, m.nu) for e in _BASIS_SPLIT] for v in vert])
     u, s, vt = np.linalg.svd(a)
     if s.min() < VERTICAL_RANK_TOL:
         raise RuntimeError("vertical space degenerated: broken invariant")
     null = vt[3:].T  # 8 x 5, Euclidean-orthonormal columns
     # re-orthonormalize under inner_nu
-    gram_b = np.array([[inner_nu(e, f, m) for f in basis] for e in basis])
-    gram = null.T @ gram_b @ null
+    gram = null.T @ m._basis_gram @ null
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         # a LinAlgError is a ValueError, which would read as malformed input
         raise RuntimeError("horizontal Gram matrix degenerated: broken invariant") from exc
     frame = null @ np.linalg.inv(chol).T  # inner_nu-orthonormal coefficients
-    return [combine(frame[:, k], basis) for k in range(5)], frame
+    return [combine(frame[:, k], SU3_BASIS) for k in range(5)], frame
 
 
 def flatness(a: np.ndarray, b: np.ndarray) -> float:

@@ -7,9 +7,9 @@ the paper's criterion with both of its conditions; curvature.flat_witness
 solves only the first, which the second implies.  The reference
 feasibility solver is the full-tableau simplex that lattice.feasibility
 replaced, kept to pin its pivots and witnesses; circle_candidates is the
-scan-filter-sort form of the circle-search order.  The one numeric oracle,
-distance_to_torus_fd, imports scipy and su3orbifolds.o5 when called, so
-loading this module costs neither.
+scan-filter-sort form of the circle-search order.  The numeric oracles,
+distance_to_torus_fd and the per-call horizontal_basis_O5, import scipy
+and the numeric modules when called, so loading this module costs neither.
 """
 
 from __future__ import annotations
@@ -311,3 +311,41 @@ def distance_to_torus_fd(g) -> float:
         )
         best = min(best, float(res.fun))
     return sqrt(max(best, 0.0))
+
+
+def horizontal_basis_O5(g, m):
+    """Reference for su3.horizontal_basis_O5: the per-call form it replaced,
+    which rebuilds su3_basis() and the inner_nu Gram of the basis on every
+    call and projects each vector onto K once per inner product.  The
+    frame must agree bit for bit.
+    """
+    from su3orbifolds.su3 import (
+        VERTICAL_RANK_TOL,
+        combine,
+        inner,
+        project_K,
+        su3_basis,
+        vertical_basis_O5,
+    )
+
+    def inner_nu(x, y, m):
+        xk, yk = project_K(x), project_K(y)
+        return inner(x - xk, y - yk) + m.nu * inner(xk, yk)
+
+    basis = su3_basis()
+    vert = vertical_basis_O5(g)
+    a = np.array([[inner_nu(e, v, m) for e in basis] for v in vert])
+    u, s, vt = np.linalg.svd(a)
+    if s.min() < VERTICAL_RANK_TOL:
+        raise RuntimeError("vertical space degenerated: broken invariant")
+    null = vt[3:].T  # 8 x 5, Euclidean-orthonormal columns
+    # re-orthonormalize under inner_nu
+    gram_b = np.array([[inner_nu(e, f, m) for f in basis] for e in basis])
+    gram = null.T @ gram_b @ null
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        # a LinAlgError is a ValueError, which would read as malformed input
+        raise RuntimeError("horizontal Gram matrix degenerated: broken invariant") from exc
+    frame = null @ np.linalg.inv(chol).T  # inner_nu-orthonormal coefficients
+    return [combine(frame[:, k], basis) for k in range(5)], frame

@@ -191,7 +191,8 @@ def test_family_singular_structure():
             checked += 1
 
 
-@pytest.mark.slow  # about 4 minutes; pytest -m "not slow" skips it
+# about 3 minutes: 186-192 s in two runs on a 2-core Xeon, one BLAS thread
+@pytest.mark.slow  # pytest -m "not slow" skips it
 def test_almost_positive_5d_quotient():
     with _gate(7, "5-dimensional quotient flat-plane verification"):
         start = time.perf_counter()

@@ -244,6 +244,50 @@ class TestVerificationDriver:
         assert res.tangency_ok and res.contains_ok
 
     def test_deterministic(self):
+        o5._off_torus_indices.cache_clear()
         r1 = o5_verify(0.5, samples=10, restarts=8, seed=7, torus_points=3)
+        o5._off_torus_indices.cache_clear()  # recompute the filter, too
         r2 = o5_verify(0.5, samples=10, restarts=8, seed=7, torus_points=3)
         assert r1 == r2
+
+
+class TestOffTorusFilter:
+    """The off-torus filter is computed once per (seed, samples) and
+    reused across nu."""
+
+    SMALL = dict(samples=6, restarts=4, torus_points=1)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        real = o5.distance_to_torus
+
+        def counting(g):
+            seen.append(g)
+            return real(g)
+
+        monkeypatch.setattr(o5, "distance_to_torus", counting)
+        o5._off_torus_indices.cache_clear()
+        yield seen
+        o5._off_torus_indices.cache_clear()
+
+    def test_once_per_three_nu_job(self, calls):
+        for nu in (0.25, 0.5, 0.75):
+            o5_verify(nu, seed=11, **self.SMALL)
+        assert len(calls) == self.SMALL["samples"]
+
+    @pytest.mark.parametrize("change", ["seed", "samples"])
+    def test_recomputed_when_the_job_changes(self, calls, change):
+        first = dict(self.SMALL, seed=11)
+        second = dict(first, **{change: first[change] + 1})
+        o5_verify(0.5, **first)
+        o5_verify(0.75, **second)
+        assert len(calls) == first["samples"] + second["samples"]
+
+    def test_cold_and_warm_agree(self, calls):
+        cold = o5_verify(0.25, seed=11, **self.SMALL)
+        hits = o5._off_torus_indices.cache_info().hits
+        warm = o5_verify(0.25, seed=11, **self.SMALL)
+        assert o5._off_torus_indices.cache_info().hits == hits + 1
+        assert len(calls) == self.SMALL["samples"]
+        assert cold == warm

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+from math import pi
+
 import numpy as np
 import pytest
 
+import oracles
+from su3orbifolds.o5 import torus_point
 from su3orbifolds.su3 import (
+    SU3_BASIS,
     CheegerMetric,
     I1,
     I2,
@@ -133,6 +138,43 @@ class TestQuotientSpaces:
             for x in h:
                 for v in vertical_basis_O5(g):
                     assert inner_nu(x, v, m) == pytest.approx(0.0, abs=1e-9)
+
+
+class TestFrameConstants:
+    """The basis, its K splits and the per-metric Gram are built once;
+    the frames must equal the per-call construction bit for bit."""
+
+    @pytest.mark.parametrize("nu", [0.25, 0.5, 0.75])
+    def test_frame_equals_per_call_reference(self, nu):
+        rng = np.random.default_rng(29)
+        m = CheegerMetric(nu)
+        points = [haar_su3(rng) for _ in range(50)]
+        points += [torus_point(s, theta) for s, theta in rng.uniform(0, 2 * pi, (5, 2))]
+        for g in points:
+            h, frame = horizontal_basis_O5(g, m)
+            h_ref, frame_ref = oracles.horizontal_basis_O5(g, CheegerMetric(nu))
+            assert np.array_equal(frame, frame_ref)
+            assert len(h) == len(h_ref)
+            assert all(np.array_equal(x, y) for x, y in zip(h, h_ref))
+
+    def test_gram_equals_inner_nu(self):
+        rng = np.random.default_rng(37)
+        m = CheegerMetric(0.3)
+        xs = [random_su3_element(rng) for _ in range(3)]
+        ys = [random_su3_element(rng) for _ in range(4)]
+        expected = np.array([[inner_nu(x, y, m) for y in ys] for x in xs])
+        assert np.array_equal(m.gram(xs, ys), expected)
+
+    def test_constants_are_read_only(self):
+        m = CheegerMetric(0.5)
+        assert m._basis_gram is m._basis_gram
+        assert not m._basis_gram.flags.writeable
+        assert all(not e.flags.writeable for e in SU3_BASIS)
+        fresh = su3_basis()
+        assert all(np.array_equal(e, f) for e, f in zip(fresh, SU3_BASIS))
+        fresh[0][0, 0] = 7.0
+        assert fresh[0] is not SU3_BASIS[0] and SU3_BASIS[0][0, 0] != 7.0
+        assert m == CheegerMetric(0.5) and hash(m) == hash(CheegerMetric(0.5))
 
 
 class TestFlatness:
