@@ -5,15 +5,14 @@ one zero-curvature horizontal plane each; everywhere else the metric is
 positively curved.  This module constructs the torus, the analytic flat
 plane at each torus point, a seeded randomized minimizer of the
 flatness functional over horizontal planes, a quotient distance to the
-torus, and the stabilizer counter that detects the order-3 singular
-circle.
+torus, and the singular circle g_z.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import cos, gcd, pi, sin, sqrt
+from math import cos, pi, sin, sqrt
 
 import numpy as np
 from scipy.linalg import subspace_angles
@@ -59,19 +58,17 @@ TANGENCY_ANGLE_BOUND = 1e-4
 CONTAINMENT_BOUND = 1e-10
 
 # Fixed effort: alternating sweeps per restart of min_flatness, local
-# starts of distance_to_torus, largest rotation order of stabilizer_check.
+# starts of distance_to_torus.
 FLATNESS_SWEEPS = 40
 TORUS_STARTS = 4
-STABILIZER_MAX_ORDER = 12
 
 # Inner tolerances: min_flatness's null-space eigenvalue cut, Pfaffian pivot,
-# exact-flat candidate and snap threshold; _psi_pair's and stabilizer_check's.
+# exact-flat candidate and snap threshold; _psi_pair's small angle.
 NULL_EIGENVALUE_TOL = 1e-9
 PFAFFIAN_PIVOT_TOL = 1e-12
 FLAT_CANDIDATE_TOL = 1e-14
 SNAP_THRESHOLD = 1e-8
 SMALL_ANGLE = 1e-14
-STABILIZER_MATCH_TOL = 1e-9
 
 
 def torus_point(s: float, theta: float) -> np.ndarray:
@@ -668,33 +665,14 @@ def distance_to_torus(g: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Stabilizers along the circle of the two-sided action
+# The singular circle
 # ---------------------------------------------------------------------------
 
 
 def g_z(z: complex) -> np.ndarray:
-    """Point of the singular circle, parametrized by |z| = 1."""
+    """Point of the singular circle, parametrized by |z| = 1; its
+    isotropy is Z_3 (see special.o5_descriptor)."""
     z = complex(z)
     return np.array(
         [[0, 1, 0], [-z.conjugate(), 0, 0], [0, 0, z]], dtype=complex
     )
-
-
-def stabilizer_check(g: np.ndarray) -> int:
-    """Count torus elements of the acting SU(2) that fix g.
-
-    Enumerates h = exp(t I) for t = 2 pi k/n in lowest terms with
-    n <= STABILIZER_MAX_ORDER (including t = 0) and counts those with
-    psi1(h) g psi2(h)^{-1} = g within STABILIZER_MATCH_TOL.
-    """
-    count = 0
-    for n in range(1, STABILIZER_MAX_ORDER + 1):
-        for k in range(n):
-            if gcd(k, n) != 1:
-                continue
-            t = 2 * pi * k / n
-            psi1 = np.diag([np.exp(1j * t), np.exp(-1j * t), 1.0])
-            psi2 = np.diag([np.exp(2j * t), np.exp(-2j * t), 1.0])
-            if np.abs(psi1 @ g @ psi2.conj().T - g).max() < STABILIZER_MATCH_TOL:
-                count += 1
-    return count

@@ -120,7 +120,16 @@ class O5Descriptor:
 def o5_descriptor() -> O5Descriptor:
     """Singular locus of SU(3)//SU(2): a closed geodesic circle whose
     points carry a cyclic group of order 3, with normal space of
-    directions the lens space L(3;1)."""
+    directions the lens space L(3;1).
+
+    The order 3 is a theorem.  h fixes g iff psi1(h) = g psi2(h) g^{-1}, so
+    the spectra {l, 1/l, 1} and {l^2, 1/l^2, 1} agree: l = 1 or l^3 = 1.
+    Every other closed subgroup of SU(2) has an element of another order
+    (Z_n one of order n, the binary dihedral and polyhedral groups -1, an
+    infinite one a circle), so every stabilizer is trivial or Z_3, and
+    exp((2 pi/3) I1) fixes o5.g_z.  tests/test_o5.py::TestIsotropyTheorem
+    proves both steps in sympy.
+    """
     return O5Descriptor(
         locus="circle",
         locus_dimension=1,

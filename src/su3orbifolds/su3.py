@@ -100,16 +100,16 @@ def inner_nu(x: np.ndarray, y: np.ndarray, m: CheegerMetric) -> float:
     return _inner_split(_split_K(x), _split_K(y), m.nu)
 
 
-def is_su3(x: np.ndarray, tol: float = 1e-12) -> bool:
-    return (
-        np.abs(x + x.conj().T).max() < tol and abs(np.trace(x)) < tol
-    )
-
-
-# entrywise tolerance of is_special_unitary
+# entrywise tolerance of is_su3 and is_special_unitary
 UNITARY_TOL = 1e-12
 # horizontal_basis_O5 raises when the vertical frame has a singular value below this
 VERTICAL_RANK_TOL = 1e-9
+
+
+def is_su3(x: np.ndarray) -> bool:
+    return (
+        np.abs(x + x.conj().T).max() < UNITARY_TOL and abs(np.trace(x)) < UNITARY_TOL
+    )
 
 
 def is_special_unitary(g: np.ndarray) -> bool:
@@ -170,7 +170,8 @@ def vertical_basis_O5(g: np.ndarray) -> list[np.ndarray]:
 
     The vectors are psi(C) - Ad(g^{-1})C for C in (I1, J1, K1), where
     psi maps the su(2)-block basis to the K triple.  Rank is 3 for
-    every g (all stabilizers are finite).
+    every g: every stabilizer is trivial or Z_3 (special.o5_descriptor),
+    so none has a Lie algebra.
     """
     gi = g.conj().T
     return [k2 - gi @ k1 @ g for k1, k2 in ((I1, I2), (J1, J2), (K1, K2))]

@@ -10,6 +10,8 @@ replaced, kept to pin its pivots and witnesses; circle_candidates is the
 scan-filter-sort form of the circle-search order.  The numeric oracles,
 distance_to_torus_fd and the per-call horizontal_basis_O5, import scipy
 and the numeric modules when called, so loading this module costs neither.
+stabilizer_check is the float count of the 5-D isotropy that the theorem
+in special.o5_descriptor replaced.
 """
 
 from __future__ import annotations
@@ -349,3 +351,27 @@ def horizontal_basis_O5(g, m):
         raise RuntimeError("horizontal Gram matrix degenerated: broken invariant") from exc
     frame = null @ np.linalg.inv(chol).T  # inner_nu-orthonormal coefficients
     return [combine(frame[:, k], basis) for k in range(5)], frame
+
+
+def stabilizer_check(g) -> int:
+    """Count torus elements of the acting SU(2) that fix g.
+
+    Enumerates h = exp(t I) for t = 2 pi k/n in lowest terms with
+    n <= STABILIZER_MAX_ORDER (including t = 0) and counts those with
+    psi1(h) g psi2(h)^{-1} = g within STABILIZER_MATCH_TOL.
+    """
+    from math import pi
+
+    STABILIZER_MAX_ORDER = 12
+    STABILIZER_MATCH_TOL = 1e-9
+    count = 0
+    for n in range(1, STABILIZER_MAX_ORDER + 1):
+        for k in range(n):
+            if gcd(k, n) != 1:
+                continue
+            t = 2 * pi * k / n
+            psi1 = np.diag([np.exp(1j * t), np.exp(-1j * t), 1.0])
+            psi2 = np.diag([np.exp(2j * t), np.exp(-2j * t), 1.0])
+            if np.abs(psi1 @ g @ psi2.conj().T - g).max() < STABILIZER_MATCH_TOL:
+                count += 1
+    return count

@@ -35,7 +35,7 @@ from su3orbifolds.eschenburg6 import (
 )
 from su3orbifolds.eschenburg7 import positive7
 from su3orbifolds.lattice import AbelianGroup2
-from su3orbifolds.o5 import g_z, stabilizer_check
+from su3orbifolds.o5 import g_z
 from su3orbifolds.special import (
     NotPrimitiveError,
     ZeroWeightError,
@@ -44,7 +44,13 @@ from su3orbifolds.special import (
 )
 from su3orbifolds.su3 import haar_su3
 
-from oracles import condition1_system, condition2_system, grid_feasible, torsion_profile_matches
+from oracles import (
+    condition1_system,
+    condition2_system,
+    grid_feasible,
+    stabilizer_check,
+    torsion_profile_matches,
+)
 from test_eschenburg6 import _random_action6, _random_move
 
 

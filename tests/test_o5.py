@@ -6,6 +6,7 @@ from math import pi
 
 import numpy as np
 import pytest
+import sympy
 from scipy.linalg import expm
 
 from su3orbifolds import o5
@@ -19,7 +20,6 @@ from su3orbifolds.o5 import (
     o5_verify,
     plane_angle,
     plane_contains,
-    stabilizer_check,
     torus_point,
     torus_tangents,
     _horizontal_projection,
@@ -41,7 +41,7 @@ from su3orbifolds.su3 import (
     is_special_unitary,
 )
 
-from oracles import distance_to_torus_fd
+from oracles import distance_to_torus_fd, stabilizer_check
 
 M = CheegerMetric(0.5)
 
@@ -49,6 +49,34 @@ M = CheegerMetric(0.5)
 def _torus_params(n, seed=0):
     rng = np.random.default_rng(seed)
     return [tuple(rng.uniform(0, 2 * pi, 2)) for _ in range(n)]
+
+
+def _exact_generators():
+    """Exact sympy copies of (I1, J1, K1) and of the K triple (I2, J2, K2)."""
+    i, r = sympy.I, sympy.sqrt(2)
+    su2 = (
+        sympy.Matrix([[i, 0, 0], [0, -i, 0], [0, 0, 0]]),
+        sympy.Matrix([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]),
+        sympy.Matrix([[0, i, 0], [i, 0, 0], [0, 0, 0]]),
+    )
+    k = (
+        sympy.Matrix([[2 * i, 0, 0], [0, -2 * i, 0], [0, 0, 0]]),
+        sympy.Matrix([[0, 0, r], [0, 0, -r], [-r, r, 0]]),
+        sympy.Matrix([[0, 0, i * r], [0, 0, i * r], [i * r, i * r, 0]]),
+    )
+    return su2, k
+
+
+def _vanishes(exact) -> bool:
+    """The sympy expression or matrix exact simplifies to zero."""
+    value = sympy.simplify(exact)
+    return value == (sympy.zeros(*value.shape) if isinstance(value, sympy.MatrixBase) else 0)
+
+
+def _agrees(exact, subs, approx) -> bool:
+    """The sympy matrix exact, evaluated at subs, is the float matrix approx."""
+    value = np.array(exact.subs(subs).evalf(), dtype=complex)
+    return np.abs(value - approx).max() < 1e-14
 
 
 class TestTorus:
@@ -173,6 +201,51 @@ class TestCertificate:
             )
             assert plane_angle(pair, (cert.a, cert.b)) < 1e-4
 
+    def test_flat_and_horizontal_identically(self):
+        # B as flat_plane_at_torus builds it, for symbolic s, theta and nu:
+        # flatness(Y3, B) and the six inner_nu products with the vertical
+        # vectors vanish identically, not only to the CERT_*_BOUND residuals
+        i, sq3 = sympy.I, sympy.sqrt(3)
+        s, theta = sympy.symbols("s theta", real=True)
+        nu = sympy.Symbol("nu", positive=True)
+        (i1, j1, k1), (i2, j2, k2) = _exact_generators()
+        y3 = sympy.diag(i, i, -2 * i)
+        w = sympy.exp(i * theta)
+        aa, bb = sq3 / 2, sympy.exp(i * s) / 2
+        g = sympy.Matrix([[aa, bb, 0], [-sympy.conjugate(bb), aa, 0], [0, 0, 1]])
+        g *= sympy.diag(w, w, sympy.conjugate(w) ** 2)
+        z = i * sympy.exp(i * s)
+        r = -2 * sympy.im(sympy.conjugate(aa * z) * bb) / (
+            nu * (sympy.Abs(aa) ** 2 + 3 * sympy.Abs(bb) ** 2)
+        )
+        b = sympy.Matrix([[r * i, z, 0], [-sympy.conjugate(z), -r * i, 0], [0, 0, 0]])
+
+        def inner(x, y):
+            return -sympy.re((x * y).trace())
+
+        def project_k(x):
+            return sum((inner(x, e) / 8 * e for e in (i2, j2, k2)), sympy.zeros(3))
+
+        def inner_nu(x, y):
+            xk, yk = project_k(x), project_k(y)
+            return inner(x - xk, y - yk) + nu * inner(xk, yk)
+
+        def bracket(x, y):
+            return x * y - y * x
+
+        ya, ba = project_k(y3), project_k(b)
+        flat = inner(bracket(y3, b), bracket(y3, b)) + inner(bracket(ya, ba), bracket(ya, ba))
+        assert _vanishes(flat)
+        vert = [q2 - g.H * q1 * g for q1, q2 in ((i1, i2), (j1, j2), (k1, k2))]
+        for x in (y3, b):
+            for v in vert:
+                assert _vanishes(inner_nu(x, v))
+        for sv, tv, nv in ((0.3, 1.2, 0.25), (4.0, 2.2, 0.75)):
+            cert = flat_plane_at_torus(sv, tv, CheegerMetric(nv))
+            at = {s: sv, theta: tv, nu: nv}
+            assert _agrees(g, at, cert.g) and _agrees(b, at, cert.b)
+            assert np.array_equal(cert.a, Y3)
+
 
 class TestMinFlatness:
     def test_zero_at_torus_and_matches_certificate(self):
@@ -217,6 +290,71 @@ class TestMinFlatness:
         assert r1.value == r2.value
         assert np.array_equal(r1.restart_values, r2.restart_values)
         assert np.array_equal(r1.restart_planes, r2.restart_planes)
+
+
+class TestIsotropyTheorem:
+    """Every stabilizer of the two-sided action is trivial or Z_3
+    (special.o5_descriptor).  h fixes g iff psi1(h) = g psi2(h) g^{-1}, so
+    psi1(h) and psi2(h) share a spectrum; the tests prove the two exact
+    steps, and TestStabilizer counts the same in floats."""
+
+    def test_spectra_agree_only_at_order_three(self):
+        su2, k = _exact_generators()
+        # psi2 maps su2 onto k generator by generator; it is a Lie algebra
+        # map iff the bracket table of su2 carries over to k
+        c = sympy.symbols("c1:4")
+
+        def table_residual(gens, a, b, coef):
+            """[gens[a], gens[b]] minus its expansion coef . gens."""
+            span = sum((ci * e for ci, e in zip(coef, gens)), sympy.zeros(3))
+            return gens[a] * gens[b] - gens[b] * gens[a] - span
+
+        for a in range(3):
+            for b in range(a + 1, 3):
+                (sol,) = sympy.solve(list(table_residual(su2, a, b, c)), c, dict=True)
+                assert _vanishes(table_residual(k, a, b, [sol[ci] for ci in c]))
+        for x, approx in zip(su2 + k, (I1, J1, K1, I2, J2, K2)):
+            assert _agrees(x, {}, approx)
+        # every h in SU(2) is conjugate to exp(t I1), whose images are
+        # exp(t I1) and exp(t I2); write lam = exp(i t)
+        t = sympy.Symbol("t", real=True)
+        lam, x = sympy.Symbol("lam", nonzero=True), sympy.Symbol("x")
+        e = sympy.exp(sympy.I * t)
+        assert _vanishes((t * su2[0]).exp() - sympy.diag(e, 1 / e, 1))
+        assert _vanishes((t * k[0]).exp() - sympy.diag(e**2, e**-2, 1))
+
+        def charpoly(gen):
+            return (t * gen).exp().charpoly(x).as_expr().subs(t, -sympy.I * sympy.log(lam))
+
+        # {lam, 1/lam, 1} = {lam^2, 1/lam^2, 1} splits into lam^2 = lam and
+        # lam^3 = 1 (lam = 1/lam^2)
+        branches = (lam**2 - lam) * (lam**3 - 1)
+        diff = charpoly(su2[0]) - charpoly(k[0])
+        assert _vanishes(lam**3 * diff - x * (x - 1) * branches)
+        roots = [rt for rt in sympy.roots(branches, lam) if rt != 0]
+        assert roots and all(_vanishes(rt**3 - 1) for rt in roots)
+        assert -1 not in roots
+
+    def test_singular_circle_is_fixed_by_z3(self):
+        su2, k = _exact_generators()
+        i = sympy.I
+        omega = sympy.exp(2 * sympy.pi * i / 3)
+        p1 = (2 * sympy.pi / 3 * su2[0]).exp()
+        p2 = (2 * sympy.pi / 3 * k[0]).exp()
+        assert _vanishes(p1 - sympy.diag(omega, sympy.conjugate(omega), 1))
+        assert _vanishes(p2 - sympy.diag(sympy.conjugate(omega), omega, 1))
+        # the solutions of psi1(h0) X = X psi2(h0) are [[0, x, 0], [y, 0, 0], [0, 0, z]]
+        xs = sympy.Matrix(3, 3, sympy.symbols("x0:9"))
+        (sol,) = sympy.solve(list(p1 * xs - xs * p2), list(xs), dict=True)
+        free = [xs[0, 1], xs[1, 0], xs[2, 2]]
+        assert xs.subs(sol) == sympy.Matrix([[0, free[0], 0], [free[1], 0, 0], [0, 0, free[2]]])
+        phi = sympy.Symbol("phi", real=True)
+        z = sympy.exp(i * phi)
+        gz = sympy.Matrix([[0, 1, 0], [-sympy.conjugate(z), 0, 0], [0, 0, z]])
+        assert _vanishes(p1 * gz - gz * p2)
+        assert _vanishes(gz * gz.H - sympy.eye(3)) and _vanishes(gz.det() - 1)
+        for v in (0.3, 2.0, 5.1):
+            assert _agrees(gz, {phi: v}, g_z(np.exp(1j * v)))
 
 
 class TestStabilizer:

@@ -130,7 +130,7 @@ class TestQuotientSpaces:
             h, frame = horizontal_basis_O5(g, m)
             assert len(h) == 5 and frame.shape == (8, 5)
             for i, x in enumerate(h):
-                assert is_su3(x, tol=1e-10)
+                assert is_su3(x)
                 for j, y in enumerate(h):
                     assert inner_nu(x, y, m) == pytest.approx(
                         float(i == j), abs=1e-9
