@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .lattice import Equality, ext_gcd, feasibility, snf2x2
+from .lattice import ext_gcd, snf2x2
 from .eschenburg7 import CircleAction7, Validity, positive7
 from .eschenburg6 import (
     GL2Z,
@@ -33,23 +33,20 @@ class FlatWitness:
     """Exact parameters of a flat plane for the block-shrunk metric.
 
     Solves (1-t)b1 + t*b2 = sum(eta*a) together with
-    (1-t)q1 + t*q2 = sum(eta*p).  kind is always "Condition1", the
-    paper's name for this system, which the reports carry.
+    (1-t)q1 + t*q2 = sum(eta*p), with t in [0, 1] and eta in the
+    standard 2-simplex.  kind is always "Condition1", the paper's name
+    for this system, which the reports carry.
     """
 
     kind: str
     t: Fraction
     eta: tuple[Fraction, Fraction, Fraction]
 
-
-def _flat_system(act: TorusAction6) -> list[Equality]:
-    a, b, p, q = act.a, act.b, act.p, act.q
-    return [
-        (Fraction(b[0]), Fraction(b[1] - b[0]),
-         Fraction(-a[0]), Fraction(-a[1]), Fraction(-a[2])),
-        (Fraction(q[0]), Fraction(q[1] - q[0]),
-         Fraction(-p[0]), Fraction(-p[1]), Fraction(-p[2])),
-    ]
+    def __post_init__(self):
+        if not (0 <= self.t <= 1):
+            raise ValueError("t out of [0, 1]")
+        if any(e < 0 for e in self.eta) or sum(self.eta) != 1:
+            raise ValueError("eta not in the standard simplex")
 
 
 def flat_witness(act: TorusAction6) -> Optional[FlatWitness]:
@@ -61,15 +58,74 @@ def flat_witness(act: TorusAction6) -> Optional[FlatWitness]:
     second implies the first: sum(a) = sum(b) and sum(p) = sum(q) give T
     and the B_j the same centroid, so B_3 = sum(eta_i A_i) makes
     (B_1 + B_2)/2 = sum(((1 - eta_i)/2) A_i), a Condition 1 point with
-    t = 1/2.  One exact rational feasibility problem therefore decides
+    t = 1/2.  One exact rational linear program therefore decides
     positive curvature of the block-shrunk metric.
+
+    It is an exact phase-1 simplex (Bland's rule) over the non-negative
+    variables (t, s, eta1, eta2, eta3) with t + s = 1 and
+    eta1 + eta2 + eta3 = 1; fully deterministic.  The tableau rows are
+    [t, s, eta1, eta2, eta3 | rhs] with rhs >= 0: the two sum
+    constraints, then (b2 - b1)t - sum(eta*a) = -b1 and the same in
+    (q, p).  Row i starts with its own artificial variable basic,
+    labelled 5 + i; the artificial columns are not stored, since no
+    pivot step reads them, and the labels stay in the basis only for
+    Bland's tie-break.  A row with no coefficients needs no special
+    case: if its rhs is nonzero its artificial never leaves the basis,
+    and if it is zero, a = 0 and b = 0 (or p = q = 0), which validate6
+    rejects.  Raises RuntimeError on the two exits that the algebra
+    rules out: an unbounded entering column (the phase-1 objective, a
+    sum of non-negative artificials, is bounded below) and a positive
+    basic artificial at objective 0.
     """
     if validate6(act) is not Validity.ORBIFOLD:
         raise ValueError("not an orbifold action")
-    w = feasibility(_flat_system(act))
-    if w is None:
+    one, zero = Fraction(1), Fraction(0)
+    tab = [[one, one, zero, zero, zero, one], [zero, zero, one, one, one, one]]
+    for b, a in ((act.b, act.a), (act.q, act.p)):
+        row = [Fraction(b[1] - b[0]), zero, *(Fraction(-x) for x in a), Fraction(-b[0])]
+        tab.append(row if row[-1] >= 0 else [-v for v in row])
+    n = 5
+    basis = [n + i for i in range(len(tab))]
+    # phase-1 reduced costs: each artificial costs 1, so the column sums
+    cost = [sum(col) for col in zip(*tab)]
+
+    while True:
+        # entering: first column with positive reduced cost (Bland)
+        enter = next((j for j in range(n) if cost[j] > 0), None)
+        if enter is None:
+            break
+        # ratio test, Bland tie-break on smallest basis label
+        leave = -1
+        best: Optional[Fraction] = None
+        for i, row in enumerate(tab):
+            if row[enter] > 0:
+                ratio = row[n] / row[enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave == -1:
+            raise RuntimeError("phase-1 simplex: unbounded entering column")
+        piv = tab[leave][enter]
+        prow = tab[leave] = [v / piv for v in tab[leave]]
+        for i, row in enumerate(tab):
+            if i != leave and row[enter] != 0:
+                f = row[enter]
+                tab[i] = [v - f * w for v, w in zip(row, prow)]
+        f = cost[enter]
+        if f != 0:
+            cost = [v - f * w for v, w in zip(cost, prow)]
+        basis[leave] = enter
+
+    if cost[n] != 0:
         return None
-    return FlatWitness(kind="Condition1", t=w.t, eta=w.eta)
+    x = [zero] * n
+    for label, row in zip(basis, tab):
+        if label < n:
+            x[label] = row[n]
+        elif row[n] != 0:
+            raise RuntimeError("phase-1 simplex: positive artificial at objective 0")
+    t, _s, e1, e2, e3 = x
+    return FlatWitness(kind="Condition1", t=t, eta=(e1, e2, e3))
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,14 @@
-"""Exact integer and rational kernels.
+"""Exact integer kernels.
 
 Everything in this module is exact: arbitrary-precision integers for the
-Smith-normal-form / torus-kernel computations, and `fractions.Fraction`
-for the feasibility solver.  No floating point.
+Smith-normal-form / torus-kernel computations.  No floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 
 Row = tuple[int, int]
@@ -216,91 +214,3 @@ def kernel_generator(rows: Sequence[Row]) -> Optional[tuple[int, int, int]]:
     # second SNF coordinate has the maximal order d2; its image under the
     # unimodular T is a primitive vector, so gcd(k, l) = 1 automatically
     return t[0][1], t[1][1], d2
-
-
-@dataclass(frozen=True)
-class RationalWitness:
-    """Exact point (t, eta) in [0,1] x (standard 2-simplex)."""
-
-    t: Fraction
-    eta: tuple[Fraction, Fraction, Fraction]
-
-    def __post_init__(self):
-        if not (0 <= self.t <= 1):
-            raise ValueError("t out of [0, 1]")
-        if any(e < 0 for e in self.eta) or sum(self.eta) != 1:
-            raise ValueError("eta not in the standard simplex")
-
-
-# An equality  c0 + ct*t + c1*eta1 + c2*eta2 + c3*eta3 = 0
-Equality = tuple[Fraction, Fraction, Fraction, Fraction, Fraction]
-
-
-def feasibility(eqs: Iterable[Equality]) -> Optional[RationalWitness]:
-    """Exact feasibility of affine equalities over [0,1] x simplex.
-
-    Returns a witness satisfying every equality exactly, or None if the
-    system is infeasible.  Decided by an exact phase-1 simplex (Bland's
-    rule) over the non-negative variables (t, s, eta1, eta2, eta3) with
-    t + s = 1 and eta1 + eta2 + eta3 = 1; fully deterministic.
-
-    The tableau rows are [t, s, eta1, eta2, eta3 | rhs] with rhs >= 0.
-    Row i starts with its own artificial variable basic, labelled 5 + i;
-    the artificial columns are not stored, since no pivot step reads
-    them, and the labels stay in the basis only for Bland's tie-break.  Raises
-    RuntimeError on the two exits that the algebra rules out: an
-    unbounded entering column (the phase-1 objective, a sum of
-    non-negative artificials, is bounded below) and a positive basic
-    artificial at objective 0.
-    """
-    one, zero = Fraction(1), Fraction(0)
-    tab = [[one, one, zero, zero, zero, one], [zero, zero, one, one, one, one]]
-    for c0, ct, c1, c2, c3 in eqs:
-        row = [Fraction(ct), zero, Fraction(c1), Fraction(c2), Fraction(c3), -Fraction(c0)]
-        if not any(row[:-1]):
-            if row[-1] != 0:
-                return None
-            continue
-        tab.append(row if row[-1] >= 0 else [-v for v in row])
-    n = 5
-    basis = [n + i for i in range(len(tab))]
-    # phase-1 reduced costs: each artificial costs 1, so the column sums
-    cost = [sum(col) for col in zip(*tab)]
-
-    while True:
-        # entering: first column with positive reduced cost (Bland)
-        enter = next((j for j in range(n) if cost[j] > 0), None)
-        if enter is None:
-            break
-        # ratio test, Bland tie-break on smallest basis label
-        leave = -1
-        best: Optional[Fraction] = None
-        for i, row in enumerate(tab):
-            if row[enter] > 0:
-                ratio = row[n] / row[enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave == -1:
-            raise RuntimeError("phase-1 simplex: unbounded entering column")
-        piv = tab[leave][enter]
-        prow = tab[leave] = [v / piv for v in tab[leave]]
-        for i, row in enumerate(tab):
-            if i != leave and row[enter] != 0:
-                f = row[enter]
-                tab[i] = [v - f * w for v, w in zip(row, prow)]
-        f = cost[enter]
-        if f != 0:
-            cost = [v - f * w for v, w in zip(cost, prow)]
-        basis[leave] = enter
-
-    if cost[n] != 0:
-        return None
-    x = [zero] * n
-    for label, row in zip(basis, tab):
-        if label < n:
-            x[label] = row[n]
-        elif row[n] != 0:
-            raise RuntimeError("phase-1 simplex: positive artificial at objective 0")
-    t, _s, e1, e2, e3 = x
-    return RationalWitness(t=t, eta=(e1, e2, e3))

@@ -5,13 +5,18 @@ points of the torus and over a dense rational grid) with no shared code
 paths with the implementations under test.  The flat-plane reference is
 the paper's criterion with both of its conditions; curvature.flat_witness
 solves only the first, which the second implies.  The reference
-feasibility solver is the full-tableau simplex that lattice.feasibility
-replaced, kept to pin its pivots and witnesses; circle_candidates is the
+feasibility solver is the full-tableau simplex that the simplex of
+curvature.flat_witness replaced, kept to pin its pivots and witnesses;
+it takes generic equalities and returns a plain (t, eta) pair, so it
+shares no type with the package.  circle_candidates is the
 scan-filter-sort form of the circle-search order.  The numeric oracles,
 distance_to_torus_fd and the per-call horizontal_basis_O5, import scipy
 and the numeric modules when called, so loading this module costs neither.
 stabilizer_check is the float count of the 5-D isotropy that the theorem
 in special.o5_descriptor replaced.
+
+The benchmark (perfbench/workloads.py) loads this file for its torsion
+check, so it may import only names that the package keeps.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from typing import Iterable, Optional
 import numpy as np
 
 from su3orbifolds.eschenburg6 import TorusAction6, cohom1_params, kernel_of_action
-from su3orbifolds.lattice import Equality, RationalWitness
 
 
 def torsion_count(rows, m: int) -> int:
@@ -112,17 +116,20 @@ def condition2_system(act: TorusAction6):
     ]
 
 
-# Reference for su3orbifolds.lattice.feasibility: the full-tableau phase-1
-# simplex it replaced, copied as it was.  It carries the m artificial
-# columns through every pivot and returns None on the two exits that the
-# algebra rules out; the implementation drops the columns and raises there.
+# Reference for the simplex of su3orbifolds.curvature.flat_witness: the
+# full-tableau phase-1 simplex it replaced, copied as it was.  It carries
+# the m artificial columns through every pivot and returns None on the two
+# exits that the algebra rules out; the implementation drops the columns
+# and raises there.
 
 
-def feasibility(eqs: Iterable[Equality]) -> Optional[RationalWitness]:
+def feasibility(eqs: Iterable[tuple]) -> Optional[tuple[Fraction, tuple[Fraction, ...]]]:
     """Exact feasibility of affine equalities over [0,1] x simplex.
 
-    Returns a witness satisfying every equality exactly, or None if the
-    system is infeasible.  Decided by an exact phase-1 simplex (Bland's
+    Equalities are 5-tuples (c0, ct, c1, c2, c3) meaning c0 + ct*t +
+    c1*eta1 + c2*eta2 + c3*eta3 = 0.  Returns a witness (t, eta)
+    satisfying every equality exactly, or None if the system is
+    infeasible.  Decided by an exact phase-1 simplex (Bland's
     rule) over the non-negative variables (t, s, eta1, eta2, eta3) with
     t + s = 1 and eta1 + eta2 + eta3 = 1; fully deterministic.
     """
@@ -146,7 +153,7 @@ def feasibility(eqs: Iterable[Equality]) -> Optional[RationalWitness]:
     if sol is None:
         return None
     t, _s, e1, e2, e3 = sol
-    return RationalWitness(t=t, eta=(e1, e2, e3))
+    return t, (e1, e2, e3)
 
 
 def _phase1_simplex(a: list[list[Fraction]], b: list[Fraction]) -> Optional[list[Fraction]]:

@@ -6,18 +6,25 @@ reports) and checks every output it gets.  Running seeded operations of
 each workload through the workload's own execute and check makes an API
 change that breaks the benchmark fail here, not in a later benchmark run.
 The module is loaded from its file without writing bytecode, so the test
-leaves no file behind.
+leaves no file behind.  The exact workloads' first operations at the
+default seed must also reproduce the output digests that a benchmark run
+compares with perfbench/golden.json, so a change to report bytes fails
+here; o5-gate's digest depends on the floating-point environment and
+stays with the benchmark.
 """
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+WORKLOADS_PY = PERFBENCH / "workloads.py"
 
 
 def _workloads(monkeypatch):
@@ -39,3 +46,23 @@ def test_operations_pass_their_checks(monkeypatch, name, ops):
         found, _canon = workload.check(inp, workload.execute(inp))
         problems += found
     assert problems == []
+
+
+@pytest.mark.parametrize("name", ["cli-exact", "api-exact-huge"])
+def test_golden_digest(monkeypatch, name):
+    # the order of perfbench/run.py's Runner: a batch of inputs, their
+    # executions, then their checks; the first `ops` canonical outputs
+    # are hashed, each followed by a newline
+    golden = json.loads((PERFBENCH / "golden.json").read_text())[name]
+    workload = _workloads(monkeypatch)[name](seed=golden["seed"])
+    digest, problems, done = hashlib.sha256(), [], 0
+    while done < golden["ops"]:
+        inputs = [workload.next_input() for _ in range(workload.batch)]
+        outs = [workload.execute(inp) for inp in inputs]
+        for inp, out in zip(inputs[: golden["ops"] - done], outs):
+            found, canon = workload.check(inp, out)
+            problems += found
+            digest.update(canon + b"\n")
+            done += 1
+    assert problems == []
+    assert digest.hexdigest() == golden["sha256"]

@@ -364,12 +364,14 @@ class TestO5Verify:
         assert rep["warnings"] == ["internal invariant breach: planted residual"]
 
     def test_degenerate_metric_exit3(self):
-        # at this nu the horizontal Gram matrix is not positive definite
-        code, rep = run_json("o5-verify", "--nu", "1e-300", "--samples", "1", "--restarts", "1")
-        assert code == 3
-        assert rep["warnings"] == [
-            "internal invariant breach: horizontal Gram matrix degenerated: broken invariant"
-        ]
+        # named for the exit 3 (degenerate frame) that these nu gave before
+        # o5_verify checked NU_FLOOR; 5e-4 gets a frame but fails the gates
+        for nu in ("1e-300", "5e-4"):
+            code, rep = run_json("o5-verify", "--nu", nu, "--samples", "1", "--restarts", "1")
+            assert code == 1
+            assert rep["warnings"] == [
+                f"malformed input: nu must be at least NU_FLOOR = 0.001, got {float(nu)}"
+            ]
 
     def test_failed_verification_exit3(self, monkeypatch):
         from su3orbifolds import o5

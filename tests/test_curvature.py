@@ -14,6 +14,7 @@ from su3orbifolds import curvature
 from su3orbifolds.curvature import (
     CircleCombo,
     ExhaustedBound,
+    FlatWitness,
     find_circle,
     flat_witness,
     repar_normal_form,
@@ -28,9 +29,13 @@ from su3orbifolds.eschenburg6 import (
     validate6,
 )
 from su3orbifolds.eschenburg7 import Validity, positive7
-from su3orbifolds.lattice import feasibility
-
-from oracles import circle_candidates, condition1_system, condition2_system, grid_feasible
+from oracles import (
+    circle_candidates,
+    condition1_system,
+    condition2_system,
+    feasibility as reference_feasibility,
+    grid_feasible,
+)
 from test_eschenburg6 import HUGE, _random_action6
 
 
@@ -59,6 +64,41 @@ def centroid_actions6(draw, entries):
         b1, q1 = 2 * b1 - b0, 2 * q1 - q0
     b, q = (b0, b1, sum(a) - b0 - b1), (q0, q1, sum(p) - q0 - q1)
     return TorusAction6(a=a, b=b, p=p, q=q)
+
+
+@st.composite
+def flat_actions(draw, entries):
+    """Torus actions with points A_i = (a_i, p_i), B_1 and B_2 drawn from
+    `entries` and B_3 = sum(A_i) - B_1 - B_2.  A quarter of the draws put
+    B_3 at the centroid of the triangle conv{A_i} and a quarter put a
+    point of the triangle on the segment [B_1, B_2]; both are flat.  The
+    last quarter sets one coordinate of every A_i to 0 and B_1 = B_2 there,
+    so that flat-plane row has no coefficients."""
+    pair = st.tuples(entries, entries)
+    x = [draw(pair) for _ in range(3)]
+    b1 = draw(pair)
+    plant = draw(st.sampled_from(("none", "centroid", "segment", "zero_row")))
+    if plant == "centroid":
+        a = [(3 * u, 3 * v) for u, v in x]
+        b3 = (sum(u for u, _ in x), sum(v for _, v in x))
+        b2 = tuple(sum(c) - s - t for c, s, t in zip(zip(*a), b1, b3))
+    elif plant == "segment":
+        w = draw(st.tuples(*[st.integers(0, 3)] * 3).filter(any))
+        a = [(sum(w) * u, sum(w) * v) for u, v in x]
+        pt = tuple(sum(wi * c for wi, c in zip(w, col)) for col in zip(*x))
+        k = draw(st.integers(1, 4))  # pt = (1 - 1/k) B1 + (1/k) B2
+        b2 = tuple(s + k * (c - s) for s, c in zip(b1, pt))
+    elif plant == "zero_row":
+        i = draw(st.sampled_from((0, 1)))
+        a = [tuple(0 if j == i else c for j, c in enumerate(u)) for u in x]
+        b2 = tuple(b1[i] if j == i else c for j, c in enumerate(draw(pair)))
+    else:
+        a, b2 = x, draw(pair)
+    b3 = tuple(sum(c) - s - t for c, s, t in zip(zip(*a), b1, b2))
+    (a1, p1), (a2, p2), (a3, p3) = a
+    return TorusAction6(
+        a=(a1, a2, a3), b=(b1[0], b2[0], b3[0]), p=(p1, p2, p3), q=(b1[1], b2[1], b3[1])
+    )
 
 
 class TestFlatWitness:
@@ -98,23 +138,41 @@ class TestFlatWitness:
             if w is None:
                 assert not hit
 
-    def test_one_feasibility_call(self, monkeypatch):
-        calls = []
+    @settings(max_examples=400, deadline=None)
+    @given(flat_actions(st.integers(-2, 2)) | flat_actions(HUGE))
+    def test_equals_full_tableau_reference(self, act):
+        # witness for witness: every pivot and Bland tie-break of the
+        # simplex agrees with the full-tableau solver; [-2, 2] makes ties
+        # in the ratio test frequent
+        assume(validate6(act) is Validity.ORBIFOLD)
+        w = flat_witness(act)
+        assert (None if w is None else (w.t, w.eta)) == reference_feasibility(
+            condition1_system(act)
+        )
 
-        def counting(eqs, _inner=feasibility):
-            calls.append(eqs)
-            return _inner(eqs)
+    def test_forced_half_t(self):
+        # 2(1-t) = eta2 + eta3 and 0 = eta1 + eta2 force t = 1/2, eta = (0, 0, 1)
+        act = TorusAction6(a=(0, 1, 1), b=(2, 0, 0), p=(1, 1, 0), q=(0, 0, 2))
+        w = flat_witness(act)
+        assert (w.t, w.eta) == (Fraction(1, 2), (Fraction(0), Fraction(0), Fraction(1)))
 
-        monkeypatch.setattr(curvature, "feasibility", counting)
-        assert flat_witness(EXAMPLE) is None
-        assert len(calls) == 1
+    def test_interval_separation_infeasible(self):
+        # (1-t)*2 + 3t lies in [2, 3] while eta2 + eta3 stays in [0, 1]
+        act = TorusAction6(a=(0, 1, 1), b=(2, 3, -3), p=(0, 0, 1), q=(0, -1, 2))
+        assert flat_witness(act) is None
+
+    def test_witness_postcondition(self):
+        with pytest.raises(ValueError):
+            FlatWitness("Condition1", Fraction(3, 2), (Fraction(1), Fraction(0), Fraction(0)))
+        with pytest.raises(ValueError):
+            FlatWitness("Condition1", Fraction(0), (Fraction(1), Fraction(1), Fraction(-1)))
 
     @settings(max_examples=300, deadline=None)
     @given(centroid_actions6(st.integers(-4, 4)) | centroid_actions6(HUGE | st.integers(-4, 4)))
     def test_matches_two_condition_criterion(self, act):
         assume(validate6(act) is Validity.ORBIFOLD)
         flat = any(
-            feasibility(system(act)) is not None
+            reference_feasibility(system(act)) is not None
             for system in (condition1_system, condition2_system)
         )
         assert (flat_witness(act) is not None) == flat

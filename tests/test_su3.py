@@ -139,6 +139,15 @@ class TestQuotientSpaces:
                 for v in vertical_basis_O5(g):
                     assert inner_nu(x, v, m) == pytest.approx(0.0, abs=1e-9)
 
+    def test_degenerate_metric_raises(self):
+        # far below o5.NU_FLOOR the float frame breaks down: the horizontal
+        # Gram at this Haar point is not positive definite, and at the torus
+        # point the vertical space loses rank
+        m = CheegerMetric(1e-300)
+        for g in (haar_su3(np.random.default_rng(0)), torus_point(0.3, 1.1)):
+            with pytest.raises(RuntimeError, match="broken invariant"):
+                horizontal_basis_O5(g, m)
+
 
 class TestFrameConstants:
     """The basis, its K splits and the per-metric Gram are built once;
