@@ -17,7 +17,10 @@ from su3orbifolds.lattice import (
     snf2x2,
 )
 
-from oracles import torsion_profile_matches
+from su3orbifolds.curvature import flat_witness
+from su3orbifolds.eschenburg6 import TorusAction6, Validity, validate6
+
+from oracles import grid_feasible, torsion_profile_matches
 
 
 class TestSnf2:
@@ -144,3 +147,62 @@ class TestKernelGroup:
             # the generator really lies in the kernel
             for r1, r2 in rows:
                 assert (r1 * k + r2 * l) % n == 0
+
+
+def _flat_action(eqs):
+    # the torus action whose Condition 1 rows are the two equalities
+    # (c0, ct, c1, c2, c3), c0 + ct*t + c1*eta1 + c2*eta2 + c3*eta3 = 0;
+    # the third weights come from the sum conditions
+    (c0, ct, *c), (d0, dt, *d) = eqs
+    a = tuple(-x for x in c)
+    p = tuple(-x for x in d)
+    b = (c0, c0 + ct, sum(a) - 2 * c0 - ct)
+    q = (d0, d0 + dt, sum(p) - 2 * d0 - dt)
+    return TorusAction6(a=a, b=b, p=p, q=q)
+
+
+def _random_flat_systems(seed, bound, count):
+    # orbifold actions only: flat_witness rejects the rest
+    rng = random.Random(seed)
+    for _ in range(count):
+        eqs = [tuple(rng.randint(-bound, bound) for _ in range(5)) for _ in range(2)]
+        act = _flat_action(eqs)
+        if validate6(act) is Validity.ORBIFOLD:
+            yield eqs, act
+
+
+class TestFeasibility:
+    """The flat-plane system, which curvature.flat_witness solves, drawn
+    as generic integer equalities and written as the action they encode."""
+
+    def test_zero_row(self):
+        # a row with no coefficients and a nonzero constant is infeasible,
+        # in either position and with either sign
+        nonzero = (-3, 1, 3, 3, 0)
+        for zero in ((1, 0, 0, 0, 0), (-2, 0, 0, 0, 0)):
+            for eqs in ([zero, nonzero], [nonzero, zero]):
+                act = _flat_action(eqs)
+                assert validate6(act) is Validity.ORBIFOLD
+                assert flat_witness(act) is None
+
+    def test_witness_satisfies_equalities(self):
+        hits = 0
+        for eqs, act in _random_flat_systems(3, 4, 200):
+            w = flat_witness(act)
+            if w is None:
+                continue
+            assert 0 <= w.t <= 1
+            assert all(e >= 0 for e in w.eta) and sum(w.eta) == 1
+            for c0, ct, c1, c2, c3 in eqs:
+                val = c0 + ct * w.t + sum(c * e for c, e in zip((c1, c2, c3), w.eta))
+                assert val == 0
+            hits += 1
+        assert hits > 10
+
+    def test_grid_oracle_agreement(self):
+        for eqs, act in _random_flat_systems(17, 3, 60):
+            exact = flat_witness(act)
+            if grid_feasible(eqs):
+                assert exact is not None
+            if exact is None:
+                assert not grid_feasible(eqs)
