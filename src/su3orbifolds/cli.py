@@ -20,9 +20,10 @@ import json
 import sys
 from enum import Enum
 from fractions import Fraction
+from math import isfinite
 from typing import get_args
 
-from .curvature import ExhaustedBound, flat_witness, repar_normal_form, search_circle
+from .curvature import CIRCLE_BOUND, ExhaustedBound, flat_witness, repar_normal_form, search_circle
 from .eschenburg6 import (
     EDGE_ENDPOINTS,
     EDGE_ORDER,
@@ -433,7 +434,7 @@ def _build_parser() -> _Parser:
     for p in (p6, pp, pn):
         for flag in _WEIGHT_FLAGS:
             p.add_argument(flag, required=True)
-    pp.add_argument("--bound", type=int, default=100)
+    pp.add_argument("--bound", type=int, default=CIRCLE_BOUND)
 
     pw = add_parser("wu", _run_wu, help="circle quotient of the 5-manifold SU(3)/SO(3)")
     pw.add_argument("--p", type=int, required=True)
@@ -447,7 +448,13 @@ def _build_parser() -> _Parser:
     po = add_parser(
         "o5-verify", _run_o5_verify, help="sampled curvature verification of SU(3)//SU(2)"
     )
-    po.add_argument("--nu", type=float, default=0.5)
+
+    def finite(text: str) -> float:  # argparse reports "invalid finite value"
+        if not isfinite(value := float(text)):
+            raise ValueError(text)
+        return value
+
+    po.add_argument("--nu", type=finite, default=0.5)
     po.add_argument("--samples", type=int, default=1000)
     po.add_argument("--restarts", type=int, default=64)
     po.add_argument("--seed", type=int, default=42)

@@ -153,6 +153,9 @@ class ExhaustedBound(RuntimeError):
         self.bound = bound
 
 
+CIRCLE_BOUND = 100  # default |coefficient| bound of the circle search and of poscurv
+
+
 def _candidates(bound: int):
     # canonical representatives: mu > 0, or (lam, mu) = (1, 0); ordered by
     # level m = max(|lam|, |mu|), then |lam|, with positive lam first on
@@ -165,7 +168,7 @@ def _candidates(bound: int):
                         yield lam, mu
 
 
-def search_circle(act: TorusAction6, bound: int = 100) -> CircleCombo:
+def search_circle(act: TorusAction6, bound: int = CIRCLE_BOUND) -> CircleCombo:
     """The first coprime combination (lam, mu), in a deterministic order
     up to |coefficient| bound, whose circle has a positively curved 7-D
     quotient.
@@ -184,7 +187,7 @@ def search_circle(act: TorusAction6, bound: int = 100) -> CircleCombo:
     raise ExhaustedBound(bound)
 
 
-def find_circle(act: TorusAction6, bound: int = 100) -> Optional[CircleCombo]:
+def find_circle(act: TorusAction6, bound: int = CIRCLE_BOUND) -> Optional[CircleCombo]:
     """A coprime circle combination with positively curved 7-D quotient.
 
     Returns None (provably none exists) when the 6-D quotient itself is

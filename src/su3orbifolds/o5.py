@@ -56,9 +56,6 @@ NEAR_ZERO_RESTART = 1e-10
 UNIQUENESS_ANGLE_BOUND = 1e-3
 TANGENCY_ANGLE_BOUND = 1e-4
 CONTAINMENT_BOUND = 1e-10
-# Least nu that o5_verify accepts.  The thresholds above do not scale with
-# nu: at 3e-4 the torus gates already fail in floating point.
-NU_FLOOR = 1e-3
 
 # Fixed effort: alternating sweeps per restart of min_flatness, local
 # starts of distance_to_torus.
@@ -126,9 +123,8 @@ class FlatPlaneCertificate:
 def _vertical_component_norm(x: np.ndarray, g: np.ndarray, m: CheegerMetric) -> float:
     """inner_nu-norm of the vertical component of x at g."""
     vert = vertical_basis_O5(g)
-    prods = m.gram([x, *vert], vert)  # row 0: <x, v>, rows 1-3: the vertical Gram
-    rhs = prods[0]
-    c = np.linalg.solve(prods[1:], rhs)
+    rhs, *gram = np.array([[inner_nu(y, v, m) for v in vert] for y in (x, *vert)])
+    c = np.linalg.solve(gram, rhs)
     return float(sqrt(max(0.0, c @ rhs)))
 
 
@@ -455,8 +451,8 @@ def o5_verify(
     NEAR_ZERO_RESTART (angle < UNIQUENESS_ANGLE_BOUND), and contains
     diag(i,i,-2i) (residual < CONTAINMENT_BOUND).  Deterministic given
     the seed: per-sample generators are split by counter so evaluation
-    order does not matter.  Fewer than one sample or restart, or nu below
-    NU_FLOOR, raises ValueError.
+    order does not matter.  Fewer than one sample or restart, or a nu that
+    CheegerMetric refuses (below su3.NU_FLOOR), raises ValueError.
 
     Sample i depends only on (seed, i), and the distance to the torus
     does not depend on nu, so the off-torus filter is computed once per
@@ -470,8 +466,6 @@ def o5_verify(
         raise ValueError(f"samples must be at least 1, got {samples}")
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
-    if nu < NU_FLOOR:
-        raise ValueError(f"nu must be at least NU_FLOOR = {NU_FLOOR}, got {nu}")
     m = CheegerMetric(nu)
 
     off = _off_torus_indices(seed, samples)

@@ -3,7 +3,7 @@
 Inner product convention: <X, Y> = -Re tr(XY) (so the norm of
 diag(i,-i,0) squared is 2).  The shrunk subalgebra K is a nonstandard
 so(3) copy spanned by I2, J2, K2 below; the deformed metric scales the
-K component by nu in (0, 1).
+K component by nu in [NU_FLOOR, 1).
 """
 
 from __future__ import annotations
@@ -72,21 +72,20 @@ def _inner_split(x, y, nu: float) -> float:
     return inner(x[0], y[0]) + nu * inner(x[1], y[1])
 
 
+# Least nu of a CheegerMetric: at 3e-4 the o5 gates already fail in floating point
+NU_FLOOR = 1e-3
+
+
 @dataclass(frozen=True)
 class CheegerMetric:
-    """Deformed metric scaling the K component by nu in (0, 1)."""
+    """Deformed metric scaling the K component by nu in [NU_FLOOR, 1)."""
 
     nu: float = 0.5
 
     def __post_init__(self):
-        if not 0 < self.nu < 1:
-            raise ValueError("nu must lie strictly between 0 and 1")
-
-    def gram(self, xs, ys) -> np.ndarray:
-        """The matrix [[inner_nu(x, y, self) for y in ys] for x in xs],
-        projecting each vector onto K once."""
-        xs, ys = [_split_K(x) for x in xs], [_split_K(y) for y in ys]
-        return np.array([[_inner_split(x, y, self.nu) for y in ys] for x in xs])
+        if not NU_FLOOR <= self.nu < 1:  # also refuses nan, as below the floor
+            bound = "less than 1" if self.nu >= 1 else f"at least NU_FLOOR = {NU_FLOOR}"
+            raise ValueError(f"nu must be {bound}, got {self.nu}")
 
     @cached_property
     def _basis_gram(self) -> np.ndarray:

@@ -363,15 +363,31 @@ class TestO5Verify:
         assert code == 3
         assert rep["warnings"] == ["internal invariant breach: planted residual"]
 
-    def test_degenerate_metric_exit3(self):
-        # named for the exit 3 (degenerate frame) that these nu gave before
-        # o5_verify checked NU_FLOOR; 5e-4 gets a frame but fails the gates
+    def test_nu_below_floor_exit1(self):
+        # CheegerMetric refuses these nu: at 1e-300 the float frame breaks
+        # down, and at 5e-4 the torus gates fail
         for nu in ("1e-300", "5e-4"):
             code, rep = run_json("o5-verify", "--nu", nu, "--samples", "1", "--restarts", "1")
             assert code == 1
             assert rep["warnings"] == [
                 f"malformed input: nu must be at least NU_FLOOR = 0.001, got {float(nu)}"
             ]
+
+    @pytest.mark.parametrize("nu", ["nan", "inf", "-inf"])
+    def test_non_finite_nu_exit1(self, nu):
+        # refused while parsing, before the report's input is filled, so the
+        # report stays strict JSON: no NaN or Infinity leaks into it
+        code, out = run_cli("o5-verify", f"--nu={nu}", "--samples", "1", "--json")
+        assert code == 1
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        report = json.loads(out, parse_constant=reject)
+        assert report["warnings"] == [
+            f"malformed input: argument --nu: invalid finite value: '{nu}'"
+        ]
+        assert report["input"] == {}
 
     def test_failed_verification_exit3(self, monkeypatch):
         from su3orbifolds import o5

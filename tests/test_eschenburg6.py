@@ -7,6 +7,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from su3orbifolds.eschenburg6 import (
@@ -41,8 +42,9 @@ from su3orbifolds.eschenburg7 import (
     SWAP_13,
     SWAP_23,
     Validity,
+    permute,
 )
-from su3orbifolds.lattice import AbelianGroup2
+from su3orbifolds.lattice import AbelianGroup2, kernel_group
 
 from oracles import effectivize_cohom1_scan, torsion_profile_matches
 
@@ -116,6 +118,19 @@ MOVES = st.one_of(
 HUGE = st.integers(10**29, 10**40 - 1) | st.integers(-(10**40 - 1), -(10**29))
 
 
+@st.composite
+def huge_orbifold_actions6(draw):
+    """Orbifold torus actions with 30-40 digit weights, all scaled by a
+    small common factor so that noncyclic vertex groups occur."""
+    c = draw(st.integers(1, 6))
+    a, p = draw(st.tuples(HUGE, HUGE, HUGE)), draw(st.tuples(HUGE, HUGE, HUGE))
+    b0, b1, q0, q1 = draw(st.tuples(HUGE, HUGE, HUGE, HUGE))
+    b, q = (b0, b1, sum(a) - b0 - b1), (q0, q1, sum(p) - q0 - q1)
+    act = TorusAction6(*([c * x for x in w] for w in (a, b, p, q)))
+    assume(validate6(act) is Validity.ORBIFOLD)
+    return act
+
+
 class TestGamma6:
     def test_noncyclic_identity_vertex(self):
         # relation rows at the identity vertex are (-2,-2), (-2,-4), (4,6)
@@ -140,6 +155,28 @@ class TestGamma6:
         act = TorusAction6(a=(0, 0, 0), b=(0, 0, 0), p=(1, 2, 3), q=(1, 2, 3))
         with pytest.raises(ValueError):
             gamma6(act, IDENTITY)
+
+    @settings(max_examples=300, deadline=None)
+    @given(orbifold_actions6() | huge_orbifold_actions6(), PERMS)
+    def test_equals_kernel_group(self, act, sigma):
+        # gamma6 reads the group off the first two rows; kernel_group takes
+        # the Smith normal form of all three
+        assert gamma6(act, sigma) == kernel_group(_stabilizer_rows(act, sigma))
+
+    def test_zero_sum_rows_have_one_minor(self):
+        # the weight sums agree, so the relation rows sum to zero, and then
+        # every 2 x 2 minor of the 3 x 2 relation matrix is +-det(row0, row1)
+        a1, a2, a3, b1, b2, p1, p2, p3, q1, q2 = sympy.symbols("a1:4 b1:3 p1:4 q1:3", integer=True)
+        a, p = (a1, a2, a3), (p1, p2, p3)
+        b, q = (b1, b2, sum(a) - b1 - b2), (q1, q2, sum(p) - q1 - q2)
+        for sigma in ALL_PERMS:
+            bs, qs = permute(b, sigma), permute(q, sigma)
+            rows = sympy.Matrix([[a[i] - bs[i], p[i] - qs[i]] for i in range(3)])
+            assert sympy.expand(rows[0, :] + rows[1, :] + rows[2, :]) == sympy.zeros(1, 2)
+            det = rows.extract([0, 1], [0, 1]).det()
+            for i, j in ((0, 2), (1, 2)):
+                minor = rows.extract([i, j], [0, 1]).det()
+                assert sympy.expand(minor - det) == 0 or sympy.expand(minor + det) == 0
 
 
 class TestLgroup6:
