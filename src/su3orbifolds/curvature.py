@@ -2,10 +2,10 @@
 
 The metric obtained by shrinking along the U(2) block that fixes the
 third coordinate is positively curved iff one exact rational system in
-(t, eta) is infeasible.  A feasible point is returned as a flat witness.
-When the quotient is positively curved, a bounded search finds a circle
-inside the torus whose 7-dimensional quotient is itself positively
-curved.
+(t, eta) is infeasible.  A simplex that pivots on integers decides it,
+and a feasible point is returned as a flat witness.  When the quotient
+is positively curved, a bounded search finds a circle inside the torus
+whose 7-dimensional quotient is itself positively curved.
 """
 
 from __future__ import annotations
@@ -66,66 +66,69 @@ def flat_witness(act: TorusAction6) -> Optional[FlatWitness]:
     eta1 + eta2 + eta3 = 1; fully deterministic.  The tableau rows are
     [t, s, eta1, eta2, eta3 | rhs] with rhs >= 0: the two sum
     constraints, then (b2 - b1)t - sum(eta*a) = -b1 and the same in
-    (q, p).  Row i starts with its own artificial variable basic,
-    labelled 5 + i; the artificial columns are not stored, since no
-    pivot step reads them, and the labels stay in the basis only for
-    Bland's tie-break.  A row with no coefficients needs no special
-    case: if its rhs is nonzero its artificial never leaves the basis,
-    and if it is zero, a = 0 and b = 0 (or p = q = 0), which validate6
-    rejects.  Raises RuntimeError on the two exits that the algebra
-    rules out: an unbounded entering column (the phase-1 objective, a
-    sum of non-negative artificials, is bounded below) and a positive
-    basic artificial at objective 0.
+    (q, p).  They hold integers over one common denominator d > 0, first
+    1 (Edmonds, Bareiss): a pivot on p = T[r][c] > 0 maps every other row
+    v, and the cost row, to (p*v - v[c]*T[r]) // d, also where v[c] = 0,
+    and sets d = p.  The division is exact, since the tableau is
+    |det B| B^-1 [A | I] for the basis B (Sylvester's identity); the ratio
+    test cross-multiplies, so the pivots are those of the same simplex
+    over Fraction, and the witness is rhs / d.  Row i starts with its own
+    artificial variable basic, labelled 5 + i; the artificial columns are
+    not stored, since no pivot reads them, and the labels stay in the
+    basis only for Bland's tie-break.  A row with no coefficients needs
+    no special case: if its rhs is nonzero its artificial never leaves
+    the basis, and if it is zero, a = 0 and b = 0 (or p = q = 0), which
+    validate6 rejects.  Raises RuntimeError on the two exits that the
+    algebra rules out: an unbounded entering column (the phase-1
+    objective, a sum of non-negative artificials, is bounded below) and
+    a positive basic artificial at objective 0.
     """
     if validate6(act) is not Validity.ORBIFOLD:
         raise ValueError("not an orbifold action")
-    one, zero = Fraction(1), Fraction(0)
-    tab = [[one, one, zero, zero, zero, one], [zero, zero, one, one, one, one]]
+    tab = [[1, 1, 0, 0, 0, 1], [0, 0, 1, 1, 1, 1]]
     for b, a in ((act.b, act.a), (act.q, act.p)):
-        row = [Fraction(b[1] - b[0]), zero, *(Fraction(-x) for x in a), Fraction(-b[0])]
+        row = [b[1] - b[0], 0, *(-x for x in a), -b[0]]
         tab.append(row if row[-1] >= 0 else [-v for v in row])
     n = 5
     basis = [n + i for i in range(len(tab))]
     # phase-1 reduced costs: each artificial costs 1, so the column sums
     cost = [sum(col) for col in zip(*tab)]
+    d = 1  # the tableau and cost row stand for tab / d and cost / d
 
     while True:
         # entering: first column with positive reduced cost (Bland)
         enter = next((j for j in range(n) if cost[j] > 0), None)
         if enter is None:
             break
-        # ratio test, Bland tie-break on smallest basis label
-        leave = -1
-        best: Optional[Fraction] = None
-        for i, row in enumerate(tab):
-            if row[enter] > 0:
-                ratio = row[n] / row[enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave == -1:
+        # ratio test by cross-multiplication; ties go to the smallest label
+        rows = [i for i, row in enumerate(tab) if row[enter] > 0]
+        if not rows:
             raise RuntimeError("phase-1 simplex: unbounded entering column")
-        piv = tab[leave][enter]
-        prow = tab[leave] = [v / piv for v in tab[leave]]
+        leave = rows[0]
+        for i in rows[1:]:
+            lhs, rhs = tab[i][n] * tab[leave][enter], tab[leave][n] * tab[i][enter]
+            if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                leave = i
+        # every other row moves to the new denominator p, exactly
+        prow, p = tab[leave], tab[leave][enter]
         for i, row in enumerate(tab):
-            if i != leave and row[enter] != 0:
+            if i != leave:
                 f = row[enter]
-                tab[i] = [v - f * w for v, w in zip(row, prow)]
+                tab[i] = [(p * v - f * w) // d for v, w in zip(row, prow)]
         f = cost[enter]
-        if f != 0:
-            cost = [v - f * w for v, w in zip(cost, prow)]
+        cost = [(p * v - f * w) // d for v, w in zip(cost, prow)]
+        d = p
         basis[leave] = enter
 
     if cost[n] != 0:
         return None
-    x = [zero] * n
+    x = [Fraction(0)] * n
     for label, row in zip(basis, tab):
         if label < n:
-            x[label] = row[n]
+            x[label] = Fraction(row[n], d)
         elif row[n] != 0:
             raise RuntimeError("phase-1 simplex: positive artificial at objective 0")
-    t, _s, e1, e2, e3 = x
-    return FlatWitness(kind="Condition1", t=t, eta=(e1, e2, e3))
+    return FlatWitness(kind="Condition1", t=x[0], eta=tuple(x[2:]))
 
 
 @dataclass(frozen=True)

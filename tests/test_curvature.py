@@ -150,6 +150,22 @@ class TestFlatWitness:
             condition1_system(act)
         )
 
+    @settings(max_examples=300, deadline=None)
+    @given(flat_actions(st.integers(-2, 2)), st.integers(10**29, 10**40 - 1))
+    def test_scaled_by_huge_factor(self, act, k):
+        # scaling every weight by k > 0 scales each flat-plane row, so the
+        # LP and Bland's path are the same; at 40 digits the ratio-test ties
+        # of [-2, 2] are decided by cross-multiplied 40-digit products.  A
+        # negative k would flip the sign of a row with zero right-hand side,
+        # which changes the tableau and may change the path.
+        assume(validate6(act) is Validity.ORBIFOLD)
+        big = TorusAction6(*([k * x for x in w] for w in (act.a, act.b, act.p, act.q)))
+        w = flat_witness(big)
+        assert w == flat_witness(act)
+        assert (None if w is None else (w.t, w.eta)) == reference_feasibility(
+            condition1_system(big)
+        )
+
     def test_forced_half_t(self):
         # 2(1-t) = eta2 + eta3 and 0 = eta1 + eta2 force t = 1/2, eta = (0, 0, 1)
         act = TorusAction6(a=(0, 1, 1), b=(2, 0, 0), p=(1, 1, 0), q=(0, 0, 2))

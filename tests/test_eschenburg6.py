@@ -201,6 +201,14 @@ class TestLgroup6:
         with pytest.raises(ValueError):
             lgroup6(act, 4, 1)
 
+    @settings(max_examples=300, deadline=None)
+    @given(orbifold_actions6() | huge_orbifold_actions6(), st.sampled_from(EDGE_ORDER))
+    def test_equals_kernel_group_of_six_rows(self, act, e):
+        # lgroup6 stacks the first two rows of each endpoint; the third
+        # row of each is minus the sum of the other two
+        group, (sigma, tau) = lgroup6(act, *e)
+        assert group == kernel_group(_stabilizer_rows(act, sigma) + _stabilizer_rows(act, tau))
+
 
 class TestSingularReport:
     @settings(max_examples=50, deadline=None)
@@ -211,6 +219,17 @@ class TestSingularReport:
         for move in moves:
             cur = apply_equivalence(cur, move)
         assert singular_report(cur).group_multiset() == base
+
+    @settings(max_examples=100, deadline=None)
+    @given(orbifold_actions6() | huge_orbifold_actions6())
+    def test_strata_divide_endpoints(self, act):
+        # a stratum group is the kernel of both endpoints' rows stacked, so
+        # it is a subgroup of each endpoint's vertex group (the kernel of
+        # that endpoint's rows alone), and its order divides theirs
+        rep = singular_report(act)
+        for e in rep.edges.values():
+            for s in e.endpoints:
+                assert rep.vertices[s].order % e.group.order == 0
 
     def test_effective_flag(self):
         act = TorusAction6(a=(1, 2, 0), b=(0, 0, 3), p=(0, 1, 1), q=(2, 0, 0))
