@@ -6,12 +6,21 @@ positively curved.  This module constructs the torus, the analytic flat
 plane at each torus point, a seeded randomized minimizer of the
 flatness functional over horizontal planes, a quotient distance to the
 torus, and the singular circle g_z.
+
+o5_verify runs its flatness searches, one job per off-torus sample and
+per torus point, in forked worker processes over the usable CPUs; the
+jobs are seeded by counter and folded in index order, so a report does
+not depend on the number of workers.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import cos, pi, sin, sqrt
 
 import numpy as np
@@ -294,8 +303,9 @@ def min_flatness(
     def best_orthogonal(fixed):
         mm = np.einsum("abcd,rb,rd->rac", g4, fixed, fixed)
         mm = 0.5 * (mm + mm.transpose(0, 2, 1))
-        proj = eye[None] - np.einsum("ri,rj->rij", fixed, fixed)
-        mm = proj @ mm @ proj + big * np.einsum("ri,rj->rij", fixed, fixed)
+        outer = np.einsum("ri,rj->rij", fixed, fixed)
+        proj = eye[None] - outer
+        mm = proj @ mm @ proj + big * outer
         vals, vecs = np.linalg.eigh(mm)
         return vecs[:, :, 0]
 
@@ -433,6 +443,77 @@ def _off_torus_indices(seed: int, samples: int) -> tuple[int, ...]:
     )
 
 
+# The metric at nu, one per process: the jobs of o5_verify at one nu share
+# its inner_nu Gram, in this process and in each worker.
+_metric = lru_cache(maxsize=1, typed=True)(CheegerMetric)
+
+
+def _off_torus_search(nu: float, restarts: int, seed: int, i: int) -> tuple[float, float]:
+    """Job of o5_verify at off-torus sample i: min_flatness's value and
+    spectral lower bound there."""
+    g, c_search = _sample(seed, i)
+    res = min_flatness(g, _metric(nu), restarts=restarts, seed=c_search)
+    return res.value, res.lower_bound
+
+
+def _torus_check(nu: float, restarts: int, seed: int, j: int, s: float, theta: float):
+    """Job of o5_verify at torus point j, torus_point(s, theta).
+
+    Returns the search minimum, the certificate's flatness and
+    horizontality residuals, the angle between the search and certificate
+    planes, the angles to the certificate plane of the restarts ending
+    below NEAR_ZERO_RESTART (one per such restart, in restart order), the
+    angle of the projected torus tangents to it, and the containment
+    residuals of Y3 in the certificate and search planes.
+    """
+    m = _metric(nu)
+    cert = flat_plane_at_torus(s, theta, m)
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(2, j))
+    res = min_flatness(cert.g, m, restarts=restarts, seed=ss)
+    h = res.basis
+    near_zero = []
+    for k in np.nonzero(res.restart_values < NEAR_ZERO_RESTART)[0]:
+        xc, yc = res.restart_planes[k]
+        near_zero.append(plane_angle((combine(xc, h), combine(yc, h)), (cert.a, cert.b)))
+    t_theta, t_s = torus_tangents(s, theta)
+    pair = (
+        _horizontal_projection(t_theta, h, m),
+        _horizontal_projection(t_s, h, m),
+    )
+    return (
+        res.value,
+        cert.flatness_residual,
+        cert.horizontality_residual,
+        plane_angle((res.a, res.b), (cert.a, cert.b)),
+        near_zero,
+        plane_angle(pair, (cert.a, cert.b)),
+        (plane_contains((cert.a, cert.b), Y3), plane_contains((res.a, res.b), Y3)),
+    )
+
+
+@contextmanager
+def _cpu_map(jobs: int):
+    """A map function that spreads `jobs` independent calls over the usable CPUs.
+
+    With more than one usable CPU (os.sched_getaffinity) and more than one
+    job, it is pool.map of a ProcessPoolExecutor with min(CPUs, jobs)
+    workers forked from this process, which inherit its modules as they
+    are; otherwise, or where fork is unavailable, the builtin map in this
+    process.  Leaving the block, also by an exception, cancels the jobs
+    not yet started and joins every worker.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, jobs)
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        yield map
+        return
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield pool.map
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def o5_verify(
     nu: float,
     samples: int = 1000,
@@ -451,67 +532,64 @@ def o5_verify(
     NEAR_ZERO_RESTART (angle < UNIQUENESS_ANGLE_BOUND), and contains
     diag(i,i,-2i) (residual < CONTAINMENT_BOUND).  Deterministic given
     the seed: per-sample generators are split by counter so evaluation
-    order does not matter.  Fewer than one sample or restart, or a nu that
-    CheegerMetric refuses (below su3.NU_FLOOR), raises ValueError.
+    order does not matter.  Fewer than one sample, restart or torus point,
+    or a nu that CheegerMetric refuses (below su3.NU_FLOOR), raises
+    ValueError.
 
     Sample i depends only on (seed, i), and the distance to the torus
     does not depend on nu, so the off-torus filter is computed once per
     (seed, samples) in a process and reused across nu: calls at several
     nu and one seed, as in gate 7 and each o5-gate benchmark job, pay for
     distance_to_torus once; a single call, such as one su3orbi run, does
-    not gain.  The inner_nu Gram of the su(3) basis is built once per
-    metric.
+    not gain.  The inner_nu Gram of the su(3) basis is built once per nu
+    in each process (_metric).
+
+    The filter and the torus parameters (s, theta), drawn in point order,
+    stay in this process.  The flatness searches run as one job per
+    off-torus sample (_off_torus_search) and per torus point
+    (_torus_check), spread over the usable CPUs by _cpu_map: in forked
+    workers, or in this process when one CPU is usable (taskset -c 0).
+    The results are folded in index order with the same min and max
+    calls either way, so the report is bit-identical.  An exception in a
+    job reaches the caller with its type and message, and no worker
+    outlives the call.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
-    m = CheegerMetric(nu)
+    if torus_points < 1:
+        raise ValueError(f"torus_points must be at least 1, got {torus_points}")
+    _metric(nu)  # refuses a nu below su3.NU_FLOOR
 
     off = _off_torus_indices(seed, samples)
     off_count = len(off)
+    rng_t = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(1,))))
+    torus_s, torus_theta = zip(*(rng_t.uniform(0, 2 * pi, 2) for _ in range(torus_points)))
+
     off_floor = float("inf")
     off_lb = float("inf")
-    for i in off:
-        g, c_search = _sample(seed, i)
-        res = min_flatness(g, m, restarts=restarts, seed=c_search)
-        off_floor = min(off_floor, res.value)
-        off_lb = min(off_lb, res.lower_bound)
-
-    rng_t = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(1,))))
     max_flat = max_cert_flat = max_horiz = max_angle = 0.0
     uniq_checked = 0
     uniq_max = tang_max = cont_max = 0.0
-    for j in range(torus_points):
-        s, theta = rng_t.uniform(0, 2 * pi, 2)
-        cert = flat_plane_at_torus(s, theta, m)
-        g = cert.g
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(2, j))
-        res = min_flatness(g, m, restarts=restarts, seed=ss)
-        max_flat = max(max_flat, res.value)
-        max_cert_flat = max(max_cert_flat, cert.flatness_residual)
-        max_horiz = max(max_horiz, cert.horizontality_residual)
-        max_angle = max(max_angle, plane_angle((res.a, res.b), (cert.a, cert.b)))
-
-        h = res.basis
-        for k in np.nonzero(res.restart_values < NEAR_ZERO_RESTART)[0]:
-            xc, yc = res.restart_planes[k]
-            uniq_checked += 1
-            uniq_max = max(
-                uniq_max, plane_angle((combine(xc, h), combine(yc, h)), (cert.a, cert.b))
-            )
-
-        t_theta, t_s = torus_tangents(s, theta)
-        pair = (
-            _horizontal_projection(t_theta, h, m),
-            _horizontal_projection(t_s, h, m),
+    with _cpu_map(off_count + torus_points) as run:
+        off_results = run(partial(_off_torus_search, nu, restarts, seed), off)
+        torus_results = run(
+            partial(_torus_check, nu, restarts, seed), range(torus_points), torus_s, torus_theta
         )
-        tang_max = max(tang_max, plane_angle(pair, (cert.a, cert.b)))
-        cont_max = max(
-            cont_max,
-            plane_contains((cert.a, cert.b), Y3),
-            plane_contains((res.a, res.b), Y3),
-        )
+        for value, lower_bound in off_results:
+            off_floor = min(off_floor, value)
+            off_lb = min(off_lb, lower_bound)
+        for flat, cert_flat, horiz, angle, near_zero, tang, cont in torus_results:
+            max_flat = max(max_flat, flat)
+            max_cert_flat = max(max_cert_flat, cert_flat)
+            max_horiz = max(max_horiz, horiz)
+            max_angle = max(max_angle, angle)
+            for a in near_zero:
+                uniq_checked += 1
+                uniq_max = max(uniq_max, a)
+            tang_max = max(tang_max, tang)
+            cont_max = max(cont_max, *cont)
 
     off_positive = off_count > 0 and off_floor > 0 and off_lb > 0
     torus_flat = (

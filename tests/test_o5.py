@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
 from math import pi
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -388,6 +395,12 @@ class TestVerificationDriver:
         r2 = o5_verify(0.5, samples=10, restarts=8, seed=7, torus_points=3)
         assert r1 == r2
 
+    @pytest.mark.parametrize("torus_points", [0, -2])
+    def test_no_torus_points_raises(self, torus_points):
+        message = f"^torus_points must be at least 1, got {torus_points}$"
+        with pytest.raises(ValueError, match=message):
+            o5_verify(0.5, samples=1, restarts=1, torus_points=torus_points)
+
 
 class TestOffTorusFilter:
     """The off-torus filter is computed once per (seed, samples) and
@@ -429,3 +442,90 @@ class TestOffTorusFilter:
         assert o5._off_torus_indices.cache_info().hits == hits + 1
         assert len(calls) == self.SMALL["samples"]
         assert cold == warm
+
+
+def _usable_cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _bits(report):
+    """The report's fields, floats as float.hex, so equal means bit-identical."""
+    return {
+        name: value.hex() if isinstance(value, float) else value
+        for name, value in dataclasses.asdict(report).items()
+    }
+
+
+class TestWorkSpread:
+    """o5_verify's flatness searches run in forked workers, one per usable
+    CPU, or in this process on one CPU; the report is the same bits."""
+
+    CALL = dict(nu=0.5, samples=6, restarts=8, seed=5, torus_points=3)
+    # the same call in a fresh interpreter pinned to one CPU, where no
+    # worker pool may be built
+    ONE_CPU = """
+import dataclasses, json, os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from su3orbifolds import o5
+
+def no_pool(*args, **kwargs):
+    raise AssertionError("a worker pool on one CPU")
+
+o5.ProcessPoolExecutor = no_pool
+report = o5.o5_verify(**json.loads(sys.argv[1]))
+print(json.dumps({
+    name: value.hex() if isinstance(value, float) else value
+    for name, value in dataclasses.asdict(report).items()
+}))
+"""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The worker pools that o5_verify builds."""
+        built = []
+        real = o5.ProcessPoolExecutor
+
+        def recording(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(o5, "ProcessPoolExecutor", recording)
+        return built
+
+    @pytest.mark.skipif(_usable_cpus() < 2, reason="one usable CPU: no workers to compare")
+    def test_one_cpu_gives_the_same_bits(self, pools):
+        src = str(Path(o5.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-c", self.ONE_CPU, json.dumps(self.CALL)],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
+        )
+        spread = o5_verify(**self.CALL)
+        assert len(pools) == 1  # this side ran in workers
+        assert json.loads(proc.stdout) == _bits(spread)
+
+    def test_no_worker_left_after_return(self, pools):
+        o5_verify(**self.CALL)
+        assert len(pools) == (_usable_cpus() > 1)
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_left_after_a_job_raises(self, monkeypatch, pools):
+        def breach(*args, **kwargs):
+            raise o5.CertificateError("planted residual")
+
+        monkeypatch.setattr(o5, "flat_plane_at_torus", breach)
+        with pytest.raises(o5.CertificateError, match="^planted residual$"):
+            o5_verify(**self.CALL)
+        assert len(pools) == (_usable_cpus() > 1)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(_usable_cpus() < 2, reason="one usable CPU: no workers")
+    def test_worker_error_keeps_type_and_message(self, monkeypatch):
+        def breach(*args, **kwargs):
+            raise o5.CertificateError(f"planted residual in process {os.getpid()}")
+
+        monkeypatch.setattr(o5, "flat_plane_at_torus", breach)
+        with pytest.raises(o5.CertificateError, match=r"^planted residual in process \d+$") as err:
+            o5_verify(**self.CALL)
+        assert str(err.value) != f"planted residual in process {os.getpid()}"
