@@ -12,11 +12,7 @@ S`` runs in both checkouts one after the other, the base first in odd
 pairs and the change first in even ones.  The output keeps, per run, the
 raw last line (the result) and the ``environment`` of the detail line,
 plus the per-metric medians; only seed 42 checks the golden digests.
-For ``o5-gate`` it also records, per side, the peak resident set of one
-process that runs one three-nu job and the largest peak among the
-workers it forked and joined (``RUSAGE_CHILDREN``), since the
-benchmark's ``peak_rss_mb`` counts only its own process.  With
-``--tier1`` the Tier-1 suite also runs once in each checkout (base
+With ``--tier1`` the Tier-1 suite also runs once in each checkout (base
 first) with one BLAS thread, and its wall time and the durations of its
 slowest tests are recorded.
 """
@@ -42,27 +38,6 @@ def _bench(checkout, workload, seed, seconds):
     detail = json.loads(out[-2])["detail"]
     return {"result": json.loads(out[-1]), "golden": detail.get("golden"),
             "environment": detail["environment"]}
-
-
-_RSS = """
-import json, resource, sys
-sys.path[:0] = ["src", "perfbench"]
-from workloads import O5Gate
-job = O5Gate(int(sys.argv[1]))
-for _ in range(job.batch):
-    job.execute(job.next_input())
-peak = {"self": resource.RUSAGE_SELF, "children": resource.RUSAGE_CHILDREN}
-print(json.dumps({who: resource.getrusage(k).ru_maxrss / 1024 for who, k in peak.items()}))
-"""
-
-
-def _rss_mb(checkout, seed):
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    out = subprocess.run(
-        [sys.executable, "-c", _RSS, str(seed)],
-        cwd=checkout, env=env, capture_output=True, text=True, check=True,
-    ).stdout
-    return json.loads(out)
 
 
 def _tier1(checkout):
@@ -114,10 +89,6 @@ def main(argv=None):
             for side, rs in runs.items()
         }
         report["workloads"][wl] = {"runs": runs, "medians": medians}
-        if wl == "o5-gate":
-            report["workloads"][wl]["rss_mb"] = {
-                side: _rss_mb(sides[side], args.seed) for side in ("base", "change")
-            }
     if args.tier1:
         report["tier1"] = {side: _tier1(sides[side]) for side in ("base", "change")}
     with open(args.out, "w") as fh:

@@ -8,15 +8,17 @@ flatness functional over horizontal planes, a quotient distance to the
 torus, and the singular circle g_z.
 
 o5_verify runs its flatness searches, one job per off-torus sample and
-per torus point, in forked worker processes over the usable CPUs; the
-jobs are seeded by counter and folded in index order, so a report does
-not depend on the number of workers.
+per torus point, in worker processes that it forks over the usable CPUs
+(in the calling process on one CPU or beside another Python thread);
+the jobs are seeded by counter and folded in index order, so a report
+does not depend on the number of workers.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -498,13 +500,20 @@ def _cpu_map(jobs: int):
     With more than one usable CPU (os.sched_getaffinity) and more than one
     job, it is pool.map of a ProcessPoolExecutor with min(CPUs, jobs)
     workers forked from this process, which inherit its modules as they
-    are; otherwise, or where fork is unavailable, the builtin map in this
-    process.  Leaving the block, also by an exception, cancels the jobs
-    not yet started and joins every worker.
+    are.  It is the builtin map in this process instead where fork is
+    unavailable, and while this process runs a second Python thread: a
+    forked child gets only the forking thread, so a lock that another
+    thread holds at the fork stays held in the child.  Leaving the block,
+    also by an exception, cancels the jobs not yet started and joins
+    every worker.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, jobs)
-    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+    if (
+        workers <= 1
+        or threading.active_count() > 1
+        or "fork" not in multiprocessing.get_all_start_methods()
+    ):
         yield map
         return
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
@@ -547,12 +556,20 @@ def o5_verify(
     The filter and the torus parameters (s, theta), drawn in point order,
     stay in this process.  The flatness searches run as one job per
     off-torus sample (_off_torus_search) and per torus point
-    (_torus_check), spread over the usable CPUs by _cpu_map: in forked
-    workers, or in this process when one CPU is usable (taskset -c 0).
-    The results are folded in index order with the same min and max
-    calls either way, so the report is bit-identical.  An exception in a
-    job reaches the caller with its type and message, and no worker
-    outlives the call.
+    (_torus_check), spread over the usable CPUs by _cpu_map: this call
+    forks one worker per usable CPU (at most one per job), or runs the
+    jobs in this process when one CPU is usable (taskset -c 0), fork is
+    unavailable, or another Python thread is running.  The results are
+    folded in index order with the same min and max calls either way, so
+    the report is bit-identical.  An exception in a job reaches the
+    caller with its type and message, and no worker outlives the call.
+
+    The worker count follows the CPU affinity only: it ignores a cgroup
+    CPU quota, and each worker runs its own BLAS threads, so set
+    OPENBLAS_NUM_THREADS=1 when the CPUs are many.  The speed-up and the
+    memory of the workers (a resident peak of about 60 MB each, shared
+    pages included) were measured only on a 2-core Xeon with one BLAS
+    thread; the resident total grows with the worker count.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")

@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from math import pi
 from pathlib import Path
 
@@ -518,6 +519,18 @@ print(json.dumps({
         with pytest.raises(o5.CertificateError, match="^planted residual$"):
             o5_verify(**self.CALL)
         assert len(pools) == (_usable_cpus() > 1)
+        assert multiprocessing.active_children() == []
+
+    def test_no_fork_beside_another_thread(self, pools):
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            o5_verify(**self.CALL)
+        finally:
+            release.set()
+            other.join()
+        assert pools == []
         assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(_usable_cpus() < 2, reason="one usable CPU: no workers")
