@@ -10,8 +10,12 @@ the checkout's path alone has moved ``o5-gate`` timings by 7%.  For each
 workload and pair, ``perfbench/run.py --workload W --seed N --seconds
 S`` runs in both checkouts one after the other, the base first in odd
 pairs and the change first in even ones.  The output keeps, per run, the
-raw last line (the result) and the ``environment`` of the detail line,
-plus the per-metric medians; only seed 42 checks the golden digests.
+raw last line (the result) and the ``environment`` of the detail line;
+per metric, each side's median and quartiles (the inclusive method of
+``statistics.quantiles``); and, per metric that ``BENCHMARK.json`` in
+the base checkout declares, how many pairs each side won in its
+``better`` direction, equal values counting as ties for neither side.
+Only seed 42 checks the golden digests.
 With ``--tier1`` the Tier-1 suite also runs once in each checkout (base
 first) with one BLAS thread, and its wall time and the durations of its
 slowest tests are recorded.
@@ -38,6 +42,40 @@ def _bench(checkout, workload, seed, seconds):
     detail = json.loads(out[-2])["detail"]
     return {"result": json.loads(out[-1]), "golden": detail.get("golden"),
             "environment": detail["environment"]}
+
+
+def _quartiles(values):
+    if len(values) < 2:
+        return [values[0], values[0]]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [q1, q3]
+
+
+def _summary(runs, better):
+    """Each side's per-metric medians and quartiles, and the pairs won."""
+    values = {
+        side: {name: [r["result"]["metrics"][name]["value"] for r in rs]
+               for name in rs[0]["result"]["metrics"]}
+        for side, rs in runs.items()
+    }
+    wins = {}
+    for name, direction in better.items():
+        counts = {"change": 0, "base": 0, "ties": 0}
+        for b, c in zip(values["base"].get(name, ()), values["change"].get(name, ())):
+            if b == c:
+                counts["ties"] += 1
+            elif (c < b) == (direction == "lower"):
+                counts["change"] += 1
+            else:
+                counts["base"] += 1
+        wins[name] = counts
+    return {
+        "medians": {side: {name: statistics.median(v) for name, v in vs.items()}
+                    for side, vs in values.items()},
+        "quartiles": {side: {name: _quartiles(v) for name, v in vs.items()}
+                      for side, vs in values.items()},
+        "wins": wins,
+    }
 
 
 def _tier1(checkout):
@@ -74,6 +112,8 @@ def main(argv=None):
             f"--base and --change paths differ in length ({lengths['base']} and "
             f"{lengths['change']} characters), which moves timings by itself"
         )
+    with open(os.path.join(args.base, "BENCHMARK.json")) as fh:
+        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
     report = {"seed": args.seed, "seconds": args.seconds, "workloads": {}}
     for wl in args.workload:
         runs = {"base": [], "change": []}
@@ -81,14 +121,7 @@ def main(argv=None):
             for side in ("base", "change") if k % 2 == 0 else ("change", "base"):
                 runs[side].append(_bench(sides[side], wl, args.seed, args.seconds))
                 print(wl, k, side, json.dumps(runs[side][-1]["result"]["metrics"]), flush=True)
-        medians = {
-            side: {
-                name: statistics.median(r["result"]["metrics"][name]["value"] for r in rs)
-                for name in rs[0]["result"]["metrics"]
-            }
-            for side, rs in runs.items()
-        }
-        report["workloads"][wl] = {"runs": runs, "medians": medians}
+        report["workloads"][wl] = {"runs": runs, **_summary(runs, better)}
     if args.tier1:
         report["tier1"] = {side: _tier1(sides[side]) for side in ("base", "change")}
     with open(args.out, "w") as fh:

@@ -7,11 +7,12 @@ plane at each torus point, a seeded randomized minimizer of the
 flatness functional over horizontal planes, a quotient distance to the
 torus, and the singular circle g_z.
 
-o5_verify runs its flatness searches, one job per off-torus sample and
-per torus point, in worker processes that it forks over the usable CPUs
-(in the calling process on one CPU or beside another Python thread);
-the jobs are seeded by counter and folded in index order, so a report
-does not depend on the number of workers.
+o5_verify runs one job per sample (its distance to the torus, then a
+flatness search off the torus) and per torus point, in worker processes
+that it forks over the usable CPUs (in the calling process on one CPU
+or beside another Python thread); the jobs are seeded by counter and
+folded in index order, so a report does not depend on the number of
+workers.
 """
 
 from __future__ import annotations
@@ -430,19 +431,10 @@ def _sample(seed: int, i: int) -> tuple[np.ndarray, np.random.SeedSequence]:
     return haar_su3(np.random.Generator(np.random.Philox(c_draw))), c_search
 
 
-@lru_cache(maxsize=1)
-def _off_torus_indices(seed: int, samples: int) -> tuple[int, ...]:
-    """Indices of the samples not within OFF_TORUS_DISTANCE of the torus
-    (a NaN distance counts as off the torus).
-
-    The distance does not depend on nu, so the last (seed, samples) is
-    kept: o5_verify at several nu and one seed runs distance_to_torus
-    once per sample.
-    """
-    return tuple(
-        i for i in range(samples)
-        if not distance_to_torus(_sample(seed, i)[0]) <= OFF_TORUS_DISTANCE
-    )
+# The off-torus indices of the last (seed, samples) that o5_verify ran, as
+# {(seed, samples): indices}: the distance does not depend on nu, so calls
+# at several nu and one seed test each sample's distance once.
+_off_torus_known: dict[tuple[int, int], tuple[int, ...]] = {}
 
 
 # The metric at nu, one per process: the jobs of o5_verify at one nu share
@@ -450,10 +442,17 @@ def _off_torus_indices(seed: int, samples: int) -> tuple[int, ...]:
 _metric = lru_cache(maxsize=1, typed=True)(CheegerMetric)
 
 
-def _off_torus_search(nu: float, restarts: int, seed: int, i: int) -> tuple[float, float]:
-    """Job of o5_verify at off-torus sample i: min_flatness's value and
-    spectral lower bound there."""
+def _off_torus_search(
+    nu: float, restarts: int, seed: int, filter_known: bool, i: int
+) -> "tuple[float, float] | None":
+    """Job of o5_verify at sample i: min_flatness's value and spectral lower
+    bound there, or None for a sample within OFF_TORUS_DISTANCE of the
+    torus (a NaN distance counts as off the torus).  With filter_known,
+    sample i is known to be off the torus and its distance is not tested.
+    """
     g, c_search = _sample(seed, i)
+    if not filter_known and distance_to_torus(g) <= OFF_TORUS_DISTANCE:
+        return None
     res = min_flatness(g, _metric(nu), restarts=restarts, seed=c_search)
     return res.value, res.lower_bound
 
@@ -546,19 +545,21 @@ def o5_verify(
     ValueError.
 
     Sample i depends only on (seed, i), and the distance to the torus
-    does not depend on nu, so the off-torus filter is computed once per
-    (seed, samples) in a process and reused across nu: calls at several
-    nu and one seed, as in gate 7 and each o5-gate benchmark job, pay for
-    distance_to_torus once; a single call, such as one su3orbi run, does
-    not gain.  The inner_nu Gram of the su(3) basis is built once per nu
-    in each process (_metric).
+    does not depend on nu, so the off-torus indices of the last (seed,
+    samples) are kept in this process and reused across nu: calls at
+    several nu and one seed, as in gate 7 and each o5-gate benchmark job,
+    test each sample's distance_to_torus once.  The inner_nu Gram of the
+    su(3) basis is built once per nu in each process (_metric).
 
-    The filter and the torus parameters (s, theta), drawn in point order,
-    stay in this process.  The flatness searches run as one job per
-    off-torus sample (_off_torus_search) and per torus point
-    (_torus_check), spread over the usable CPUs by _cpu_map: this call
-    forks one worker per usable CPU (at most one per job), or runs the
-    jobs in this process when one CPU is usable (taskset -c 0), fork is
+    Only the torus parameters (s, theta), drawn in point order, stay in
+    this process.  Each sample is one job (_off_torus_search): on a
+    cold call it tests the sample's distance and returns None within
+    OFF_TORUS_DISTANCE, else it runs the flatness search; on a warm call
+    only the kept off-torus indices are dispatched and no distance is
+    tested.  Each torus point is one job (_torus_check).  _cpu_map
+    spreads all the jobs of a call over the usable CPUs: this call forks
+    one worker per usable CPU (at most one per job), or runs the jobs in
+    this process when one CPU is usable (taskset -c 0), fork is
     unavailable, or another Python thread is running.  The results are
     folded in index order with the same min and max calls either way, so
     the report is bit-identical.  An exception in a job reaches the
@@ -579,8 +580,8 @@ def o5_verify(
         raise ValueError(f"torus_points must be at least 1, got {torus_points}")
     _metric(nu)  # refuses a nu below su3.NU_FLOOR
 
-    off = _off_torus_indices(seed, samples)
-    off_count = len(off)
+    known = _off_torus_known.get((seed, samples))
+    indices = range(samples) if known is None else known
     rng_t = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(1,))))
     torus_s, torus_theta = zip(*(rng_t.uniform(0, 2 * pi, 2) for _ in range(torus_points)))
 
@@ -589,12 +590,19 @@ def o5_verify(
     max_flat = max_cert_flat = max_horiz = max_angle = 0.0
     uniq_checked = 0
     uniq_max = tang_max = cont_max = 0.0
-    with _cpu_map(off_count + torus_points) as run:
-        off_results = run(partial(_off_torus_search, nu, restarts, seed), off)
+    off = []
+    with _cpu_map(len(indices) + torus_points) as run:
+        off_results = run(
+            partial(_off_torus_search, nu, restarts, seed, known is not None), indices
+        )
         torus_results = run(
             partial(_torus_check, nu, restarts, seed), range(torus_points), torus_s, torus_theta
         )
-        for value, lower_bound in off_results:
+        for i, result in zip(indices, off_results):
+            if result is None:
+                continue
+            off.append(i)
+            value, lower_bound = result
             off_floor = min(off_floor, value)
             off_lb = min(off_lb, lower_bound)
         for flat, cert_flat, horiz, angle, near_zero, tang, cont in torus_results:
@@ -607,7 +615,10 @@ def o5_verify(
                 uniq_max = max(uniq_max, a)
             tang_max = max(tang_max, tang)
             cont_max = max(cont_max, *cont)
+    _off_torus_known.clear()
+    _off_torus_known[seed, samples] = tuple(off)
 
+    off_count = len(off)
     off_positive = off_count > 0 and off_floor > 0 and off_lb > 0
     torus_flat = (
         max_flat < TORUS_FLATNESS_BOUND

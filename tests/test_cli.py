@@ -337,7 +337,7 @@ class TestO5Verify:
         from su3orbifolds import o5
 
         _, out1 = run_cli(*self.ARGS, "--json")
-        o5._off_torus_indices.cache_clear()  # the second run recomputes the filter
+        o5._off_torus_known.clear()  # the second run recomputes the filter
         _, out2 = run_cli(*self.ARGS, "--json")
         assert out1 == out2
 

@@ -390,9 +390,9 @@ class TestVerificationDriver:
         assert res.tangency_ok and res.contains_ok
 
     def test_deterministic(self):
-        o5._off_torus_indices.cache_clear()
+        o5._off_torus_known.clear()
         r1 = o5_verify(0.5, samples=10, restarts=8, seed=7, torus_points=3)
-        o5._off_torus_indices.cache_clear()  # recompute the filter, too
+        o5._off_torus_known.clear()  # recompute the filter, too
         r2 = o5_verify(0.5, samples=10, restarts=8, seed=7, torus_points=3)
         assert r1 == r2
 
@@ -410,23 +410,27 @@ class TestOffTorusFilter:
     SMALL = dict(samples=6, restarts=4, torus_points=1)
 
     @pytest.fixture
-    def calls(self, monkeypatch):
-        seen = []
+    def calls(self, monkeypatch, tmp_path):
+        """The number of distance_to_torus calls so far, in this process and
+        in its forked workers: each call appends a line to one file."""
+        log = tmp_path / "calls"
+        log.touch()
         real = o5.distance_to_torus
 
         def counting(g):
-            seen.append(g)
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
             return real(g)
 
         monkeypatch.setattr(o5, "distance_to_torus", counting)
-        o5._off_torus_indices.cache_clear()
-        yield seen
-        o5._off_torus_indices.cache_clear()
+        o5._off_torus_known.clear()
+        yield lambda: len(log.read_text().splitlines())
+        o5._off_torus_known.clear()
 
     def test_once_per_three_nu_job(self, calls):
         for nu in (0.25, 0.5, 0.75):
             o5_verify(nu, seed=11, **self.SMALL)
-        assert len(calls) == self.SMALL["samples"]
+        assert calls() == self.SMALL["samples"]
 
     @pytest.mark.parametrize("change", ["seed", "samples"])
     def test_recomputed_when_the_job_changes(self, calls, change):
@@ -434,15 +438,44 @@ class TestOffTorusFilter:
         second = dict(first, **{change: first[change] + 1})
         o5_verify(0.5, **first)
         o5_verify(0.75, **second)
-        assert len(calls) == first["samples"] + second["samples"]
+        assert calls() == first["samples"] + second["samples"]
 
     def test_cold_and_warm_agree(self, calls):
         cold = o5_verify(0.25, seed=11, **self.SMALL)
-        hits = o5._off_torus_indices.cache_info().hits
+        assert calls() == self.SMALL["samples"]
         warm = o5_verify(0.25, seed=11, **self.SMALL)
-        assert o5._off_torus_indices.cache_info().hits == hits + 1
-        assert len(calls) == self.SMALL["samples"]
+        assert calls() == self.SMALL["samples"]  # the warm call tested none
         assert cold == warm
+
+    def test_exempt_samples_are_skipped(self, monkeypatch):
+        # no seed in use puts a sample within OFF_TORUS_DISTANCE, so a stub
+        # puts the even samples on the torus and gives sample 1 a NaN
+        # distance, which counts as off the torus
+        seed, samples = 11, self.SMALL["samples"]
+        drawn = [o5._sample(seed, i) for i in range(samples)]
+        index = {g.tobytes(): i for i, (g, _) in enumerate(drawn)}
+        real = o5.distance_to_torus
+
+        def planted(g):
+            i = index[g.tobytes()]
+            return 0.0 if i % 2 == 0 else float("nan") if i == 1 else real(g)
+
+        monkeypatch.setattr(o5, "distance_to_torus", planted)
+        o5._off_torus_known.clear()
+        try:
+            cold = o5_verify(0.25, seed=seed, **self.SMALL)
+            assert o5._off_torus_known == {(seed, samples): (1, 3, 5)}
+            warm = o5_verify(0.25, seed=seed, **self.SMALL)
+        finally:
+            o5._off_torus_known.clear()
+        assert cold.off_torus_count == warm.off_torus_count == 3
+        assert warm == cold
+        searches = [
+            min_flatness(g, CheegerMetric(0.25), restarts=self.SMALL["restarts"], seed=c)
+            for g, c in drawn[1::2]
+        ]
+        assert cold.off_torus_floor == min(r.value for r in searches)
+        assert cold.off_torus_lower_bound == min(r.lower_bound for r in searches)
 
 
 def _usable_cpus():
@@ -502,9 +535,12 @@ print(json.dumps({
             [sys.executable, "-c", self.ONE_CPU, json.dumps(self.CALL)],
             env=env, capture_output=True, text=True, check=True, timeout=300,
         )
-        spread = o5_verify(**self.CALL)
-        assert len(pools) == 1  # this side ran in workers
-        assert json.loads(proc.stdout) == _bits(spread)
+        o5._off_torus_known.clear()
+        cold = o5_verify(**self.CALL)
+        assert (self.CALL["seed"], self.CALL["samples"]) in o5._off_torus_known
+        warm = o5_verify(**self.CALL)  # dispatches the known indices only
+        assert len(pools) == 2  # this side ran in workers
+        assert json.loads(proc.stdout) == _bits(cold) == _bits(warm)
 
     def test_no_worker_left_after_return(self, pools):
         o5_verify(**self.CALL)
