@@ -15,7 +15,13 @@ per metric, each side's median and quartiles (the inclusive method of
 ``statistics.quantiles``); and, per metric that ``BENCHMARK.json`` in
 the base checkout declares, how many pairs each side won in its
 ``better`` direction, equal values counting as ties for neither side.
-Only seed 42 checks the golden digests.
+Only seed 42 checks the golden digests.  Before its pairs, each workload
+also gets an interleaved series of 20 set-up probes per side: the
+checkout's ``perfbench/probe.py``, timed from process start to its
+"ready" line as ``perfbench/run.py`` times ``setup_s``, alternating the
+side that goes first.  The series, its median and its quartiles are
+kept under ``setup_probes``; they show the host's set-up phases, which
+three probes per run cannot.
 With ``--tier1`` the Tier-1 suite also runs once in each checkout (base
 first) with one BLAS thread, and its wall time and the durations of its
 slowest tests are recorded.
@@ -32,6 +38,8 @@ import subprocess
 import sys
 from time import perf_counter
 
+SETUP_PROBES = 20
+
 
 def _bench(checkout, workload, seed, seconds):
     out = subprocess.run(
@@ -42,6 +50,33 @@ def _bench(checkout, workload, seed, seconds):
     detail = json.loads(out[-2])["detail"]
     return {"result": json.loads(out[-1]), "golden": detail.get("golden"),
             "environment": detail["environment"]}
+
+
+def _setup_probe(checkout, workload):
+    start = perf_counter()
+    with subprocess.Popen(
+        [sys.executable, os.path.join(os.path.abspath(checkout), "perfbench", "probe.py"), workload],
+        cwd=checkout, stdout=subprocess.PIPE, text=True,
+    ) as proc:
+        line = proc.stdout.readline()
+        elapsed = perf_counter() - start
+        proc.stdout.read()
+        proc.wait(timeout=120)
+    if line.strip() != "ready" or proc.returncode != 0:
+        raise RuntimeError(f"set-up probe failed in {checkout}: {line.strip()!r}")
+    return elapsed
+
+
+def _setup_series(sides, workload):
+    series = {"base": [], "change": []}
+    for k in range(SETUP_PROBES):
+        for side in ("base", "change") if k % 2 == 0 else ("change", "base"):
+            series[side].append(_setup_probe(sides[side], workload))
+    return {
+        "series": series,
+        "medians": {side: statistics.median(v) for side, v in series.items()},
+        "quartiles": {side: _quartiles(v) for side, v in series.items()},
+    }
 
 
 def _quartiles(values):
@@ -116,12 +151,14 @@ def main(argv=None):
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
     report = {"seed": args.seed, "seconds": args.seconds, "workloads": {}}
     for wl in args.workload:
+        setup = _setup_series(sides, wl)
+        print(wl, "setup probes", json.dumps(setup["medians"]), flush=True)
         runs = {"base": [], "change": []}
         for k in range(args.pairs):
             for side in ("base", "change") if k % 2 == 0 else ("change", "base"):
                 runs[side].append(_bench(sides[side], wl, args.seed, args.seconds))
                 print(wl, k, side, json.dumps(runs[side][-1]["result"]["metrics"]), flush=True)
-        report["workloads"][wl] = {"runs": runs, **_summary(runs, better)}
+        report["workloads"][wl] = {"runs": runs, **_summary(runs, better), "setup_probes": setup}
     if args.tier1:
         report["tier1"] = {side: _tier1(sides[side]) for side in ("base", "change")}
     with open(args.out, "w") as fh:

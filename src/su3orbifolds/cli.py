@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from enum import Enum
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import isfinite
 from typing import get_args
 
@@ -90,6 +90,25 @@ def _triple(text: str) -> tuple[int, int, int]:
 _MOVES = get_args(EquivalenceMove)
 
 
+def _json_items(value):
+    return [_json(v) for v in value]
+
+
+# the JSON form of each exact type that result values are built from
+_JSON_RULES = {
+    **dict.fromkeys((type(None), bool, str, float), lambda value: value),
+    int: str,
+    Fraction: str,
+    list: _json_items,
+    tuple: _json_items,
+    dict: lambda value: {k: _json(v) for k, v in value.items()},
+    AbelianGroup2: lambda g: {
+        "d1": _json(g.d1), "d2": _json(g.d2), "order": _json(g.order), "name": str(g)
+    },
+    Permute: lambda m: {"kind": "Permute", "sigma": PERM_NAMES[m.sigma], "tau": PERM_NAMES[m.tau]},
+}
+
+
 def _json(value):
     """JSON form of a result value.
 
@@ -99,33 +118,52 @@ def _json(value):
     a "kind" tag on moves and permutations by name.  None, bool, str and
     float pass through; containers are mapped.
     """
-    if value is None or isinstance(value, (bool, str, float)):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return str(value)
+    rule = _JSON_RULES.get(type(value))
+    if rule is not None:
+        return rule(value)
     if isinstance(value, Enum):
         return value.value
-    if isinstance(value, (list, tuple)):
-        return [_json(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _json(v) for k, v in value.items()}
-    if isinstance(value, AbelianGroup2):
-        return {
-            "d1": _json(value.d1),
-            "d2": _json(value.d2),
-            "order": _json(value.order),
-            "name": str(value),
-        }
-    if isinstance(value, Permute):
-        return {
-            "kind": "Permute",
-            "sigma": PERM_NAMES[value.sigma],
-            "tau": PERM_NAMES[value.tau],
-        }
     if dataclasses.is_dataclass(value):
         fields = {f.name: _json(getattr(value, f.name)) for f in dataclasses.fields(value)}
         return {"kind": type(value).__name__, **fields} if isinstance(value, _MOVES) else fields
     raise TypeError(f"no JSON form for {value!r}")
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _dumps(value, pad: str = "\n") -> str:
+    """The text of json.dumps(value, indent=2), written in one pass.
+
+    value is built of dicts with str keys, lists, tuples, str, int, float,
+    bool and None (subclasses included, as json takes them); anything
+    else, or a key that is not a str, raises TypeError.  pad is the line
+    break and indentation before the value's closing bracket.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _dumps(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in value]) + pad + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 _EDGE_ART = r"""
@@ -222,12 +260,11 @@ def _run_analyze6(args) -> tuple[dict, list, list]:
         }
         for (i, j) in EDGE_ORDER
     }
+    singular_vertices, singular_edges = rep.singular_vertices(), rep.singular_edges()
     result["singular_vertices"] = [
-        PERM_NAMES[sig] for sig in VERTEX_ORDER if sig in rep.singular_vertices()
+        PERM_NAMES[sig] for sig in VERTEX_ORDER if sig in singular_vertices
     ]
-    result["singular_edges"] = [
-        f"L{i}{j}" for (i, j) in EDGE_ORDER if (i, j) in rep.singular_edges()
-    ]
+    result["singular_edges"] = [f"L{i}{j}" for (i, j) in EDGE_ORDER if (i, j) in singular_edges]
     result["group_multiset"] = [{"d1": d1, "d2": d2} for d1, d2 in rep.group_multiset()]
     result["hexagon"] = _hexagon(
         {sig: str(rep.vertices[sig]) for sig in VERTEX_ORDER},
@@ -534,8 +571,7 @@ def run(argv) -> int:
         code = exc.code
     report["exit_code"] = code
     if as_json:
-        json.dump(report, out, indent=2)
-        print(file=out)
+        out.write(_dumps(report) + "\n")
     else:
         _render_text(report, out)
     return code

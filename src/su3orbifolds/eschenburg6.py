@@ -83,10 +83,15 @@ def _stabilizer_rows(act: TorusAction6, sigma: Permutation3) -> list[tuple[int, 
     return [(act.a[i] - bs[i], act.p[i] - qs[i]) for i in range(3)]
 
 
+def _vertex_order(rows: list[tuple[int, int]]) -> int:
+    """|det| of a matching's first two relation rows."""
+    (x0, y0), (x1, y1) = rows[:2]
+    return abs(x0 * y1 - y0 * x1)
+
+
 def vertex_order_formula(act: TorusAction6, sigma: Permutation3) -> int:
     """Closed-form order of the isotropy at the sigma vertex (0 = invalid)."""
-    (x0, y0), (x1, y1), _ = _stabilizer_rows(act, sigma)
-    return abs(x0 * y1 - y0 * x1)
+    return _vertex_order(_stabilizer_rows(act, sigma))
 
 
 def validate6(act: TorusAction6) -> Validity:
@@ -98,6 +103,16 @@ def validate6(act: TorusAction6) -> Validity:
     return Validity.ORBIFOLD
 
 
+def _vertex_group(rows: list[tuple[int, int]]) -> AbelianGroup2:
+    """Vertex group of a matching from its relation rows (see gamma6)."""
+    n = _vertex_order(rows)
+    if n == 0:
+        raise ValueError("vertex order 0: not an orbifold action")
+    (x0, y0), (x1, y1) = rows[:2]
+    r = gcd(x0, y0, x1, y1)
+    return AbelianGroup2(r, n // r)
+
+
 def gamma6(act: TorusAction6, sigma: Permutation3) -> AbelianGroup2:
     """Isotropy group at the vertex matched by sigma, as Z_d1 + Z_d2.
 
@@ -105,12 +120,18 @@ def gamma6(act: TorusAction6, sigma: Permutation3) -> AbelianGroup2:
     Smith invariants of all three come from the first two: d1 is their gcd
     r, and d1 * d2, the gcd of the 2 x 2 minors, their order n = |det|.
     """
-    n = vertex_order_formula(act, sigma)
-    if n == 0:
-        raise ValueError("vertex order 0: not an orbifold action")
-    rows = _stabilizer_rows(act, sigma)
-    r = gcd(*rows[0], *rows[1])
-    return AbelianGroup2(r, n // r)
+    return _vertex_group(_stabilizer_rows(act, sigma))
+
+
+def _stratum_group(
+    rows: dict[Permutation3, list[tuple[int, int]]], sigma: Permutation3, tau: Permutation3
+) -> AbelianGroup2:
+    """Group of the stratum joining the sigma and tau vertices, from the
+    relation rows of each matching (see lgroup6)."""
+    group = kernel_group(rows[sigma][:2] + rows[tau][:2])
+    if not group.is_finite:
+        raise ValueError("infinite stratum isotropy: not an orbifold action")
+    return group
 
 
 def lgroup6(
@@ -124,12 +145,8 @@ def lgroup6(
     """
     if (i, j) not in EDGE_ENDPOINTS:
         raise ValueError(f"no stratum L_{i}{j}")
-    sigma, tau = EDGE_ENDPOINTS[(i, j)]
-    rows = _stabilizer_rows(act, sigma)[:2] + _stabilizer_rows(act, tau)[:2]
-    group = kernel_group(rows)
-    if not group.is_finite:
-        raise ValueError("infinite stratum isotropy: not an orbifold action")
-    return group, (sigma, tau)
+    ends = EDGE_ENDPOINTS[(i, j)]
+    return _stratum_group({s: _stabilizer_rows(act, s) for s in ends}, *ends), ends
 
 
 @dataclass(frozen=True)
@@ -169,8 +186,12 @@ def singular_report(act: TorusAction6) -> SingularLocusReport:
     the input already acted effectively).  Raises ValueError if not an orbifold.
     """
     eff, moves = effectivize(act)
-    vertices = {s: gamma6(eff, s) for s in ALL_PERMS}
-    edges = {e: EdgeReport(*lgroup6(eff, *e)) for e in EDGE_ORDER}
+    rows = {s: _stabilizer_rows(eff, s) for s in ALL_PERMS}
+    vertices = {s: _vertex_group(rows[s]) for s in ALL_PERMS}
+    edges = {
+        e: EdgeReport(_stratum_group(rows, *EDGE_ENDPOINTS[e]), EDGE_ENDPOINTS[e])
+        for e in EDGE_ORDER
+    }
     return SingularLocusReport(vertices=vertices, edges=edges, action=eff, moves=tuple(moves))
 
 
@@ -238,10 +259,10 @@ EquivalenceMove = Union[Swap, Scale, Shift, Permute, GL2Z]
 def _scale_triple(w: Weight3, f: Fraction) -> Weight3:
     out = []
     for x in w:
-        v = f * x
-        if v.denominator != 1:
+        v, r = divmod(f.numerator * x, f.denominator)
+        if r:
             raise ValueError(f"scale by {f} does not keep weights integral")
-        out.append(int(v))
+        out.append(v)
     return tuple(out)
 
 
@@ -429,16 +450,17 @@ def cohom1_tables(params: Cohom1Params) -> Cohom1Tables:
     """Vertex and stratum orders via closed formulas, cross-checked against
     the structural isotropy computation on the assembled torus action."""
     act = params.action()
-    if validate6(act) is not Validity.ORBIFOLD:
+    rows = {s: _stabilizer_rows(act, s) for s in VERTEX_ORDER}
+    if not all(_vertex_order(r) for r in rows.values()):
         raise ValueError("degenerate second circle: not an orbifold action")
     vf = _vertex_formulas(params)
     ef = _edge_formulas(params)
     noncyclic = []
     for sigma in VERTEX_ORDER:
-        if gamma6(act, sigma).order != vf[sigma]:
+        if _vertex_group(rows[sigma]).order != vf[sigma]:
             raise RuntimeError(f"vertex formula mismatch at {PERM_NAMES[sigma]}")
     for e in EDGE_ORDER:
-        group, _ = lgroup6(act, *e)
+        group = _stratum_group(rows, *EDGE_ENDPOINTS[e])
         if group.order != ef[e]:
             raise RuntimeError(f"stratum formula mismatch at L_{e}")
         if not group.is_cyclic:

@@ -15,10 +15,11 @@ from fractions import Fraction
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import su3orbifolds
 from su3orbifolds import cli, curvature, eschenburg6
-from su3orbifolds.cli import _json, run
+from su3orbifolds.cli import _dumps, _json, run
 from su3orbifolds.curvature import FlatWitness
 from su3orbifolds.eschenburg6 import GL2Z, Permute, Scale, Shift, Swap, TorusAction6
 from su3orbifolds.eschenburg7 import CYCLE_123, SWAP_12, Validity
@@ -553,3 +554,58 @@ class TestReportValues:
         ]
         with pytest.raises(TypeError):
             _json(object())
+
+
+# text with control characters, non-ASCII and lone surrogates
+JSON_TEXT = st.text(st.characters(exclude_categories=())) | st.sampled_from(
+    ("", "\x00\x1f\x7f", '"\\/\b\f\n\r\t', "\u00e9\u2028\U0001f600", "\ud800")
+)
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | JSON_TEXT
+    | st.floats()
+    | st.sampled_from((float("nan"), float("inf"), float("-inf"), -0.0, 0.0))
+    | st.integers()
+    | st.integers(2**64, 2**200).flatmap(lambda n: st.sampled_from((n, -n)))
+)
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(JSON_TEXT, children, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestReportWriter:
+    @settings(max_examples=400, deadline=None)
+    @given(JSON_TREES)
+    @example((1, [2]))
+    @example({"": [[], {}, ()], "x": {"y": [{}]}})
+    def test_equals_json_dumps(self, value):
+        assert _dumps(value) == json.dumps(value, indent=2)
+
+    def test_subclasses_as_json_takes_them(self):
+        class Text(str):
+            pass
+
+        class Count(int):
+            def __repr__(self):
+                return "Count"
+
+        class Real(float):
+            def __repr__(self):
+                return "Real"
+
+        value = {Text("k"): [Text("v"), Count(3), Real(0.25), Real("nan")], "t": (True, None)}
+        assert _dumps(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "value", [{1: "x"}, {None: 1}, {(1, 2): []}, object(), {1, 2}, b"x", Fraction(1, 2)]
+    )
+    def test_rejects_what_is_not_json_form(self, value):
+        with pytest.raises(TypeError):
+            _dumps(value)
+        with pytest.raises(TypeError):
+            _dumps([{"a": value}])

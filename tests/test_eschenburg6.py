@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -11,14 +12,17 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from su3orbifolds.eschenburg6 import (
+    Cohom1Tables,
     EDGE_ORDER,
     GL2Z,
+    EdgeReport,
     Permute,
     Scale,
     Shift,
     Swap,
     TorusAction6,
     VERTEX_ORDER,
+    _scale_triple,
     _stabilizer_rows,
     apply_equivalence,
     cohom1_params,
@@ -131,6 +135,14 @@ def huge_orbifold_actions6(draw):
     return act
 
 
+@st.composite
+def ineffective_or_not(draw, actions):
+    """An orbifold action, with its (p, q) circle scaled by k = 1..4, which
+    puts Z_k in the kernel."""
+    k = draw(st.integers(1, 4))
+    return apply_equivalence(draw(actions), Scale(lam=Fraction(k), mu=Fraction(1)))
+
+
 class TestGamma6:
     def test_noncyclic_identity_vertex(self):
         # relation rows at the identity vertex are (-2,-2), (-2,-4), (4,6)
@@ -231,6 +243,15 @@ class TestSingularReport:
             for s in e.endpoints:
                 assert rep.vertices[s].order % e.group.order == 0
 
+    @settings(max_examples=150, deadline=None)
+    @given(ineffective_or_not(orbifold_actions6() | huge_orbifold_actions6()))
+    def test_groups_equal_gamma6_and_lgroup6(self, act):
+        # the report builds each matching's rows once; the per-stratum
+        # functions build their own
+        rep = singular_report(act)
+        assert rep.vertices == {s: gamma6(rep.action, s) for s in ALL_PERMS}
+        assert rep.edges == {e: EdgeReport(*lgroup6(rep.action, *e)) for e in EDGE_ORDER}
+
     def test_effective_flag(self):
         act = TorusAction6(a=(1, 2, 0), b=(0, 0, 3), p=(0, 1, 1), q=(2, 0, 0))
         rep = singular_report(act)
@@ -261,6 +282,40 @@ def torus_actions6(draw, entries):
         a = (k * p[0] + c + nudge, k * p[1] + c, k * p[2] + c)
         b = (k * q[0] + c + nudge, k * q[1] + c, k * q[2] + c)
     return TorusAction6(a=a, b=b, p=p, q=q)
+
+
+def _scale_by_fraction(w, f):
+    """Scaling as Fraction arithmetic: f * x for each weight x."""
+    scaled = [f * x for x in w]
+    if any(v.denominator != 1 for v in scaled):
+        raise ValueError(f"scale by {f} does not keep weights integral")
+    return tuple(int(v) for v in scaled)
+
+
+SCALE_WEIGHTS = st.integers(-6, 6) | HUGE
+
+
+class TestScaleTriple:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.tuples(SCALE_WEIGHTS, SCALE_WEIGHTS, SCALE_WEIGHTS),
+        st.integers(-6, 6) | HUGE,
+        st.integers(1, 12) | st.integers(10**29, 10**40),
+        st.booleans(),
+    )
+    def test_equals_fraction_form(self, w, num, den, divisible):
+        # divisible weights make the scale integral for any denominator
+        if divisible:
+            w = tuple(x * den for x in w)
+        f = Fraction(num, den)
+        try:
+            expected = _scale_by_fraction(w, f)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                _scale_triple(w, f)
+        else:
+            scaled = _scale_triple(w, f)
+            assert scaled == expected and all(type(x) is int for x in scaled)
 
 
 class TestKernelOfAction:
@@ -357,6 +412,28 @@ class TestCohom1Tables:
             for i, sigma in enumerate(VERTEX_ORDER):
                 assert gamma6(act, sigma).order == tab.vertex_orders[i]
             checked += 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 12) | st.integers(10**29, 10**40),
+        st.tuples(*[st.integers(-6, 6) | HUGE] * 5),
+    )
+    def test_equals_structural_groups(self, d, w):
+        # the tables read the same orders and cyclicity as gamma6 and
+        # lgroup6 on the family member's action
+        a, b = w[:3], (w[3], w[4], sum(w[:3]) - w[3] - w[4])
+        params = cohom1_params(d, a, b)
+        act = params.action()
+        if validate6(act) is not Validity.ORBIFOLD:
+            with pytest.raises(ValueError, match="^degenerate second circle"):
+                cohom1_tables(params)
+            return
+        edges = {e: lgroup6(act, *e)[0] for e in EDGE_ORDER}
+        assert cohom1_tables(params) == Cohom1Tables(
+            vertex_orders=tuple(gamma6(act, s).order for s in VERTEX_ORDER),
+            edge_orders={e: g.order for e, g in edges.items()},
+            noncyclic_edges=tuple(e for e, g in edges.items() if not g.is_cyclic),
+        )
 
 
 class TestFamilyClassification:
