@@ -512,31 +512,32 @@ def _join_weights(argv) -> list[str]:
     return joined
 
 
-def _render_text(report: dict, out) -> None:
+def _render_text(report: dict) -> str:
+    lines = []
+
     def emit(key, value, indent):
         pad = "  " * indent
         if isinstance(value, dict):
-            print(f"{pad}{key}:", file=out)
+            lines.append(f"{pad}{key}:")
             for k, v in value.items():
                 emit(k, v, indent + 1)
         elif isinstance(value, list) and value and isinstance(value[0], (dict, list)):
-            print(f"{pad}{key}:", file=out)
+            lines.append(f"{pad}{key}:")
             for i, v in enumerate(value):
                 emit(str(i), v, indent + 1)
         elif isinstance(value, list) and key in ("art", "vertices", "edges"):
-            print(f"{pad}{key}:", file=out)
-            for line in value:
-                print(f"{pad}  {line}", file=out)
+            lines.append(f"{pad}{key}:")
+            lines.extend(f"{pad}  {line}" for line in value)
         else:
-            print(f"{pad}{key}: {value}", file=out)
+            lines.append(f"{pad}{key}: {value}")
 
     for key, value in report.items():
         emit(key, value, 0)
+    return "".join(line + "\n" for line in lines)
 
 
 def run(argv) -> int:
     """Execute one invocation; print the report; return the exit code."""
-    out = sys.stdout
     report = {
         "schema_version": "1",
         "command": None,
@@ -570,10 +571,7 @@ def run(argv) -> int:
         report["warnings"] = [exc.warning]
         code = exc.code
     report["exit_code"] = code
-    if as_json:
-        out.write(_dumps(report) + "\n")
-    else:
-        _render_text(report, out)
+    sys.stdout.write(_dumps(report) + "\n" if as_json else _render_text(report))
     return code
 
 

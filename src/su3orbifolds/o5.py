@@ -7,12 +7,12 @@ plane at each torus point, a seeded randomized minimizer of the
 flatness functional over horizontal planes, a quotient distance to the
 torus, and the singular circle g_z.
 
-o5_verify runs one job per sample (its distance to the torus, then a
-flatness search off the torus) and per torus point, in worker processes
-that it forks over the usable CPUs (in the calling process on one CPU
-or beside another Python thread); the jobs are seeded by counter and
-folded in index order, so a report does not depend on the number of
-workers.
+o5_verify runs one job per sample (a flatness search, then the distance
+to the torus only where the search is not positive) and per torus point,
+in worker processes that it forks over the usable CPUs (in the calling
+process on one CPU or beside another Python thread); the jobs are seeded
+by counter and folded in index order, so a report does not depend on the
+number of workers.
 """
 
 from __future__ import annotations
@@ -401,9 +401,11 @@ class O5Verification:
     samples: int
     restarts: int
     seed: int
-    off_torus_count: int
-    off_torus_floor: float  # smallest search minimum over off-torus samples
-    off_torus_lower_bound: float  # smallest certified spectral lower bound
+    off_torus_count: int  # samples counted: all but the exempt ones
+    # smallest search minimum and certified spectral lower bound over the
+    # counted samples, None when none is counted
+    off_torus_floor: "float | None"
+    off_torus_lower_bound: "float | None"
     off_torus_positive: bool
     torus_points: int
     torus_max_flatness: float
@@ -431,29 +433,22 @@ def _sample(seed: int, i: int) -> tuple[np.ndarray, np.random.SeedSequence]:
     return haar_su3(np.random.Generator(np.random.Philox(c_draw))), c_search
 
 
-# The off-torus indices of the last (seed, samples) that o5_verify ran, as
-# {(seed, samples): indices}: the distance does not depend on nu, so calls
-# at several nu and one seed test each sample's distance once.
-_off_torus_known: dict[tuple[int, int], tuple[int, ...]] = {}
-
-
 # The metric at nu, one per process: the jobs of o5_verify at one nu share
 # its inner_nu Gram, in this process and in each worker.
 _metric = lru_cache(maxsize=1, typed=True)(CheegerMetric)
 
 
-def _off_torus_search(
-    nu: float, restarts: int, seed: int, filter_known: bool, i: int
-) -> "tuple[float, float] | None":
+def _off_torus_search(nu: float, restarts: int, seed: int, i: int) -> "tuple[float, float] | None":
     """Job of o5_verify at sample i: min_flatness's value and spectral lower
-    bound there, or None for a sample within OFF_TORUS_DISTANCE of the
-    torus (a NaN distance counts as off the torus).  With filter_known,
-    sample i is known to be off the torus and its distance is not tested.
+    bound there, or None when the sample is exempt.  A sample is exempt when
+    its search is not positive (value and lower bound both above 0) and it
+    lies within OFF_TORUS_DISTANCE of the torus; the distance is tested only
+    then, and a NaN distance counts as off the torus.
     """
     g, c_search = _sample(seed, i)
-    if not filter_known and distance_to_torus(g) <= OFF_TORUS_DISTANCE:
-        return None
     res = min_flatness(g, _metric(nu), restarts=restarts, seed=c_search)
+    if not (res.value > 0 and res.lower_bound > 0) and distance_to_torus(g) <= OFF_TORUS_DISTANCE:
+        return None
     return res.value, res.lower_bound
 
 
@@ -532,31 +527,28 @@ def o5_verify(
     """Sampled verification that the deformed metric is almost positively
     curved with flat planes exactly along the parametrized torus.
 
-    Off-torus samples (quotient distance > OFF_TORUS_DISTANCE) must have
-    strictly positive minimal flatness.  Torus points must carry a flat
-    plane (search value < TORUS_FLATNESS_BOUND) that matches the analytic
-    certificate and is tangent to the torus directions (both angles <
-    TANGENCY_ANGLE_BOUND), is unique among the restarts ending below
-    NEAR_ZERO_RESTART (angle < UNIQUENESS_ANGLE_BOUND), and contains
+    Every sample must have strictly positive minimal flatness and spectral
+    lower bound, except that a sample whose search is not positive is
+    exempt when it lies within OFF_TORUS_DISTANCE of the torus (quotient
+    distance; a NaN distance counts as off the torus).  Torus points must
+    carry a flat plane (search value < TORUS_FLATNESS_BOUND) that matches
+    the analytic certificate and is tangent to the torus directions (both
+    angles < TANGENCY_ANGLE_BOUND), is unique among the restarts ending
+    below NEAR_ZERO_RESTART (angle < UNIQUENESS_ANGLE_BOUND), and contains
     diag(i,i,-2i) (residual < CONTAINMENT_BOUND).  Deterministic given
     the seed: per-sample generators are split by counter so evaluation
     order does not matter.  Fewer than one sample, restart or torus point,
     or a nu that CheegerMetric refuses (below su3.NU_FLOOR), raises
     ValueError.
 
-    Sample i depends only on (seed, i), and the distance to the torus
-    does not depend on nu, so the off-torus indices of the last (seed,
-    samples) are kept in this process and reused across nu: calls at
-    several nu and one seed, as in gate 7 and each o5-gate benchmark job,
-    test each sample's distance_to_torus once.  The inner_nu Gram of the
-    su(3) basis is built once per nu in each process (_metric).
+    The inner_nu Gram of the su(3) basis is built once per nu in each
+    process (_metric); nothing else outlives a call.
 
     Only the torus parameters (s, theta), drawn in point order, stay in
-    this process.  Each sample is one job (_off_torus_search): on a
-    cold call it tests the sample's distance and returns None within
-    OFF_TORUS_DISTANCE, else it runs the flatness search; on a warm call
-    only the kept off-torus indices are dispatched and no distance is
-    tested.  Each torus point is one job (_torus_check).  _cpu_map
+    this process.  Each sample is one job (_off_torus_search): it runs the
+    flatness search and tests the sample's distance to the torus only
+    when the search is not positive, so a passing run tests no distance.
+    Each torus point is one job (_torus_check).  _cpu_map
     spreads all the jobs of a call over the usable CPUs: this call forks
     one worker per usable CPU (at most one per job), or runs the jobs in
     this process when one CPU is usable (taskset -c 0), fork is
@@ -580,28 +572,23 @@ def o5_verify(
         raise ValueError(f"torus_points must be at least 1, got {torus_points}")
     _metric(nu)  # refuses a nu below su3.NU_FLOOR
 
-    known = _off_torus_known.get((seed, samples))
-    indices = range(samples) if known is None else known
     rng_t = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(1,))))
     torus_s, torus_theta = zip(*(rng_t.uniform(0, 2 * pi, 2) for _ in range(torus_points)))
 
     off_floor = float("inf")
     off_lb = float("inf")
     max_flat = max_cert_flat = max_horiz = max_angle = 0.0
-    uniq_checked = 0
+    off_count = uniq_checked = 0
     uniq_max = tang_max = cont_max = 0.0
-    off = []
-    with _cpu_map(len(indices) + torus_points) as run:
-        off_results = run(
-            partial(_off_torus_search, nu, restarts, seed, known is not None), indices
-        )
+    with _cpu_map(samples + torus_points) as run:
+        off_results = run(partial(_off_torus_search, nu, restarts, seed), range(samples))
         torus_results = run(
             partial(_torus_check, nu, restarts, seed), range(torus_points), torus_s, torus_theta
         )
-        for i, result in zip(indices, off_results):
+        for result in off_results:
             if result is None:
                 continue
-            off.append(i)
+            off_count += 1
             value, lower_bound = result
             off_floor = min(off_floor, value)
             off_lb = min(off_lb, lower_bound)
@@ -615,10 +602,8 @@ def o5_verify(
                 uniq_max = max(uniq_max, a)
             tang_max = max(tang_max, tang)
             cont_max = max(cont_max, *cont)
-    _off_torus_known.clear()
-    _off_torus_known[seed, samples] = tuple(off)
-
-    off_count = len(off)
+    if not off_count:  # no floor to report, and no Infinity in a JSON report
+        off_floor = off_lb = None
     off_positive = off_count > 0 and off_floor > 0 and off_lb > 0
     torus_flat = (
         max_flat < TORUS_FLATNESS_BOUND

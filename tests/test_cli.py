@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import io
 import json
 import os
@@ -335,10 +336,7 @@ class TestO5Verify:
         assert rep["result"]["off_torus"]["positive"] is True
 
     def test_byte_identical_determinism(self):
-        from su3orbifolds import o5
-
         _, out1 = run_cli(*self.ARGS, "--json")
-        o5._off_torus_known.clear()  # the second run recomputes the filter
         _, out2 = run_cli(*self.ARGS, "--json")
         assert out1 == out2
 
@@ -389,6 +387,31 @@ class TestO5Verify:
             f"malformed input: argument --nu: invalid finite value: '{nu}'"
         ]
         assert report["input"] == {}
+
+    def test_no_sample_counted_reports_null(self, monkeypatch):
+        # every search flat and every sample on the torus: every sample is
+        # exempt, so there is no floor, and the report stays strict JSON
+        from su3orbifolds import o5
+
+        real = o5.min_flatness
+
+        def flat(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), value=0.0)
+
+        monkeypatch.setattr(o5, "min_flatness", flat)
+        monkeypatch.setattr(o5, "distance_to_torus", lambda g: 0.0)
+        code, out = run_cli("o5-verify", "--samples", "2", "--restarts", "1", "--json")
+        assert code == 3
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        report = json.loads(out, parse_constant=reject)
+        jsonschema.validate(report, SCHEMA)
+        off = report["result"]["off_torus"]
+        assert off["count"] == 0
+        assert off["min_flatness_floor"] is None and off["certified_lower_bound"] is None
+        assert off["positive"] is False
 
     def test_failed_verification_exit3(self, monkeypatch):
         from su3orbifolds import o5
@@ -579,6 +602,23 @@ JSON_TREES = st.recursive(
 
 
 class TestReportWriter:
+    @pytest.mark.parametrize("mode", [(), ("--json",)])
+    def test_one_write_per_report(self, mode):
+        # the README analyze6 example; its text report has 189 lines
+        class Counting(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        out = Counting()
+        with redirect_stdout(out):
+            code = run([*TestAnalyze6.ARGS, *mode])
+        assert code == 0
+        assert out.writes == 1
+        assert out.getvalue().count("\n") > 100
+
     @settings(max_examples=400, deadline=None)
     @given(JSON_TREES)
     @example((1, [2]))

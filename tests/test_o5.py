@@ -390,9 +390,7 @@ class TestVerificationDriver:
         assert res.tangency_ok and res.contains_ok
 
     def test_deterministic(self):
-        o5._off_torus_known.clear()
         r1 = o5_verify(0.5, samples=10, restarts=8, seed=7, torus_points=3)
-        o5._off_torus_known.clear()  # recompute the filter, too
         r2 = o5_verify(0.5, samples=10, restarts=8, seed=7, torus_points=3)
         assert r1 == r2
 
@@ -404,78 +402,76 @@ class TestVerificationDriver:
 
 
 class TestOffTorusFilter:
-    """The off-torus filter is computed once per (seed, samples) and
-    reused across nu."""
+    """A sample's distance to the torus is tested only when its flatness
+    search is not positive; such a sample is exempt within
+    OFF_TORUS_DISTANCE, and every other sample is counted."""
 
     SMALL = dict(samples=6, restarts=4, torus_points=1)
+    SEED = 11
 
     @pytest.fixture
-    def calls(self, monkeypatch, tmp_path):
-        """The number of distance_to_torus calls so far, in this process and
-        in its forked workers: each call appends a line to one file."""
+    def distance(self, monkeypatch, tmp_path):
+        """Stub distance_to_torus by a function of the sample index (None
+        for the real distance); returns the number of calls so far, in this
+        process and in its forked workers: each call appends a line to one
+        file."""
         log = tmp_path / "calls"
         log.touch()
         real = o5.distance_to_torus
 
-        def counting(g):
-            with open(log, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
-            return real(g)
+        def stub(of_index):
+            def counting(g):
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+                d = of_index(self.index(g))
+                return real(g) if d is None else d
 
-        monkeypatch.setattr(o5, "distance_to_torus", counting)
-        o5._off_torus_known.clear()
-        yield lambda: len(log.read_text().splitlines())
-        o5._off_torus_known.clear()
+            monkeypatch.setattr(o5, "distance_to_torus", counting)
+            return lambda: len(log.read_text().splitlines())
 
-    def test_once_per_three_nu_job(self, calls):
+        return stub
+
+    def index(self, g):
+        """The index of sample g at SEED, None for a point that is no sample."""
+        samples = range(self.SMALL["samples"])
+        return next((i for i in samples if np.array_equal(o5._sample(self.SEED, i)[0], g)), None)
+
+    def test_no_distance_when_every_search_is_positive(self, distance):
+        calls = distance(lambda i: None)
         for nu in (0.25, 0.5, 0.75):
-            o5_verify(nu, seed=11, **self.SMALL)
-        assert calls() == self.SMALL["samples"]
+            res = o5_verify(nu, seed=self.SEED, **self.SMALL)
+            assert res.passed and res.off_torus_count == self.SMALL["samples"]
+        assert calls() == 0
 
-    @pytest.mark.parametrize("change", ["seed", "samples"])
-    def test_recomputed_when_the_job_changes(self, calls, change):
-        first = dict(self.SMALL, seed=11)
-        second = dict(first, **{change: first[change] + 1})
-        o5_verify(0.5, **first)
-        o5_verify(0.75, **second)
-        assert calls() == first["samples"] + second["samples"]
+    def test_positive_samples_on_the_torus_are_counted(self, distance):
+        calls = distance(lambda i: 0.0)
+        res = o5_verify(0.5, seed=self.SEED, **self.SMALL)
+        assert res.passed and res.off_torus_count == self.SMALL["samples"]
+        assert calls() == 0
 
-    def test_cold_and_warm_agree(self, calls):
-        cold = o5_verify(0.25, seed=11, **self.SMALL)
-        assert calls() == self.SMALL["samples"]
-        warm = o5_verify(0.25, seed=11, **self.SMALL)
-        assert calls() == self.SMALL["samples"]  # the warm call tested none
-        assert cold == warm
+    def test_exempt_samples_are_skipped(self, monkeypatch, distance):
+        # samples 0, 2 and 4 find a flat plane; sample 0 lies on the torus
+        # (exempt), sample 2 has a NaN distance and sample 4 its real one,
+        # which is off the torus (both counted)
+        failing = (0, 2, 4)
+        real = o5.min_flatness
 
-    def test_exempt_samples_are_skipped(self, monkeypatch):
-        # no seed in use puts a sample within OFF_TORUS_DISTANCE, so a stub
-        # puts the even samples on the torus and gives sample 1 a NaN
-        # distance, which counts as off the torus
-        seed, samples = 11, self.SMALL["samples"]
-        drawn = [o5._sample(seed, i) for i in range(samples)]
-        index = {g.tobytes(): i for i, (g, _) in enumerate(drawn)}
-        real = o5.distance_to_torus
+        def planted(g, m, restarts, seed):
+            res = real(g, m, restarts=restarts, seed=seed)
+            return dataclasses.replace(res, value=0.0) if self.index(g) in failing else res
 
-        def planted(g):
-            i = index[g.tobytes()]
-            return 0.0 if i % 2 == 0 else float("nan") if i == 1 else real(g)
-
-        monkeypatch.setattr(o5, "distance_to_torus", planted)
-        o5._off_torus_known.clear()
-        try:
-            cold = o5_verify(0.25, seed=seed, **self.SMALL)
-            assert o5._off_torus_known == {(seed, samples): (1, 3, 5)}
-            warm = o5_verify(0.25, seed=seed, **self.SMALL)
-        finally:
-            o5._off_torus_known.clear()
-        assert cold.off_torus_count == warm.off_torus_count == 3
-        assert warm == cold
+        monkeypatch.setattr(o5, "min_flatness", planted)
+        calls = distance({0: 0.0, 2: float("nan")}.get)
+        res = o5_verify(0.25, seed=self.SEED, **self.SMALL)
+        assert calls() == len(failing)
         searches = [
-            min_flatness(g, CheegerMetric(0.25), restarts=self.SMALL["restarts"], seed=c)
-            for g, c in drawn[1::2]
+            planted(g, CheegerMetric(0.25), restarts=self.SMALL["restarts"], seed=c)
+            for g, c in (o5._sample(self.SEED, i) for i in range(1, self.SMALL["samples"]))
         ]
-        assert cold.off_torus_floor == min(r.value for r in searches)
-        assert cold.off_torus_lower_bound == min(r.lower_bound for r in searches)
+        assert res.off_torus_count == len(searches) == 5
+        assert res.off_torus_floor == min(r.value for r in searches) == 0.0
+        assert res.off_torus_lower_bound == min(r.lower_bound for r in searches)
+        assert not res.off_torus_positive and not res.passed
 
 
 def _usable_cpus():
@@ -535,12 +531,10 @@ print(json.dumps({
             [sys.executable, "-c", self.ONE_CPU, json.dumps(self.CALL)],
             env=env, capture_output=True, text=True, check=True, timeout=300,
         )
-        o5._off_torus_known.clear()
-        cold = o5_verify(**self.CALL)
-        assert (self.CALL["seed"], self.CALL["samples"]) in o5._off_torus_known
-        warm = o5_verify(**self.CALL)  # dispatches the known indices only
+        first = o5_verify(**self.CALL)
+        second = o5_verify(**self.CALL)
         assert len(pools) == 2  # this side ran in workers
-        assert json.loads(proc.stdout) == _bits(cold) == _bits(warm)
+        assert json.loads(proc.stdout) == _bits(first) == _bits(second)
 
     def test_no_worker_left_after_return(self, pools):
         o5_verify(**self.CALL)
