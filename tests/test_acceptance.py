@@ -197,7 +197,7 @@ def test_family_singular_structure():
             checked += 1
 
 
-# about 3 minutes: 186-192 s in two runs on a 2-core Xeon, one BLAS thread
+# about 1.5 minutes: 76-93 s in two runs on a 2-core Xeon, one BLAS thread
 @pytest.mark.slow  # pytest -m "not slow" skips it
 def test_almost_positive_5d_quotient():
     with _gate(7, "5-dimensional quotient flat-plane verification"):
