@@ -504,11 +504,17 @@ _PARSER = _build_parser()
 
 def _join_weights(argv) -> list[str]:
     """Join each weight flag to its value (--a -2,0,2 -> --a=-2,0,2), so
-    argparse does not mistake the leading minus sign for an option."""
+    argparse does not mistake the leading minus sign for an option.  A bare
+    -- stays apart: argparse would turn --p=-- into an empty list."""
     joined, tokens = [], iter(argv)
     for tok in tokens:
         value = next(tokens, None) if tok in _WEIGHT_FLAGS else None
-        joined.append(tok if value is None else f"{tok}={value}")
+        if value is None:
+            joined.append(tok)
+        elif value == "--":
+            joined += (tok, value)
+        else:
+            joined.append(f"{tok}={value}")
     return joined
 
 

@@ -480,6 +480,17 @@ class TestParsing:
         assert code == 1
 
     @pytest.mark.parametrize(
+        "argv",
+        [("analyze7", "--p", "--", "--q", "0,0,1"), ("wu", "--p", "--", "--q", "1")],
+        ids=["weight", "integer"],
+    )
+    def test_bare_double_dash_value_exit1(self, argv):
+        # argparse would read --p=-- as an empty list, which no handler takes
+        code, rep = run_json(*argv)
+        assert code == 1
+        assert rep["warnings"] == ["malformed input: argument --p: expected one argument"]
+
+    @pytest.mark.parametrize(
         "q, warning",
         [("2", "unrecognized arguments: --js"), ("x", "argument --q: invalid int value: 'x'")],
     )
