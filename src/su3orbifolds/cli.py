@@ -438,7 +438,56 @@ class _Parser(argparse.ArgumentParser):
         raise _malformed(message)
 
 
+def finite(text: str) -> float:  # argparse reports "invalid finite value"
+    if not isfinite(value := float(text)):
+        raise ValueError(text)
+    return value
+
+
+# The one declaration of the subcommands, in help order: name -> (handler,
+# help, {flag: (type, default)}); a flag whose default is None is required.
+# _build_parser builds argparse from it and _parse_exact reads it directly.
 _WEIGHT_FLAGS = ("--a", "--b", "--p", "--q")
+_WEIGHTS = {flag: (str, None) for flag in _WEIGHT_FLAGS}
+_COMMANDS = {
+    "analyze7": (
+        _run_analyze7,
+        "orbifold analysis of a 7-D circle quotient",
+        {"--p": (str, None), "--q": (str, None)},
+    ),
+    "analyze6": (_run_analyze6, "orbifold analysis of a 6-D torus quotient", _WEIGHTS),
+    "cohom1": (
+        _run_cohom1,
+        "cohomogeneity-one family tables",
+        {"--d": (int, None), "--a": (str, None), "--b": (str, None)},
+    ),
+    "poscurv": (
+        _run_poscurv,
+        "positive-curvature decision and circle search",
+        {**_WEIGHTS, "--bound": (int, CIRCLE_BOUND)},
+    ),
+    "normalize": (_run_normalize, "effectivize and bring to normal form", _WEIGHTS),
+    "wu": (
+        _run_wu,
+        "circle quotient of the 5-manifold SU(3)/SO(3)",
+        {"--p": (int, None), "--q": (int, None)},
+    ),
+    "wcp": (
+        _run_wcp,
+        "weighted projective plane weights",
+        {"--p": (int, None), "--q": (int, None), "--r": (int, None)},
+    ),
+    "o5-verify": (
+        _run_o5_verify,
+        "sampled curvature verification of SU(3)//SU(2)",
+        {
+            "--nu": (finite, 0.5),
+            "--samples": (int, 1000),
+            "--restarts": (int, 64),
+            "--seed": (int, 42),
+        },
+    ),
+}
 
 
 def _build_parser() -> _Parser:
@@ -449,53 +498,11 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def add_parser(name, handler, help):
+    for name, (handler, help, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help, parents=[common])
         p.set_defaults(handler=handler)
-        return p
-
-    p7 = add_parser("analyze7", _run_analyze7, help="orbifold analysis of a 7-D circle quotient")
-    p7.add_argument("--p", required=True)
-    p7.add_argument("--q", required=True)
-
-    p6 = add_parser("analyze6", _run_analyze6, help="orbifold analysis of a 6-D torus quotient")
-
-    pc = add_parser("cohom1", _run_cohom1, help="cohomogeneity-one family tables")
-    pc.add_argument("--d", type=int, required=True)
-    pc.add_argument("--a", required=True)
-    pc.add_argument("--b", required=True)
-
-    pp = add_parser("poscurv", _run_poscurv, help="positive-curvature decision and circle search")
-    pn = add_parser("normalize", _run_normalize, help="effectivize and bring to normal form")
-    for p in (p6, pp, pn):
-        for flag in _WEIGHT_FLAGS:
-            p.add_argument(flag, required=True)
-    pp.add_argument("--bound", type=int, default=CIRCLE_BOUND)
-
-    pw = add_parser("wu", _run_wu, help="circle quotient of the 5-manifold SU(3)/SO(3)")
-    pw.add_argument("--p", type=int, required=True)
-    pw.add_argument("--q", type=int, required=True)
-
-    px = add_parser("wcp", _run_wcp, help="weighted projective plane weights")
-    px.add_argument("--p", type=int, required=True)
-    px.add_argument("--q", type=int, required=True)
-    px.add_argument("--r", type=int, required=True)
-
-    po = add_parser(
-        "o5-verify", _run_o5_verify, help="sampled curvature verification of SU(3)//SU(2)"
-    )
-
-    def finite(text: str) -> float:  # argparse reports "invalid finite value"
-        if not isfinite(value := float(text)):
-            raise ValueError(text)
-        return value
-
-    po.add_argument("--nu", type=finite, default=0.5)
-    po.add_argument("--samples", type=int, default=1000)
-    po.add_argument("--restarts", type=int, default=64)
-    po.add_argument("--seed", type=int, default=42)
-
+        for flag, (convert, default) in flags.items():
+            p.add_argument(flag, type=convert, default=default, required=default is None)
     return parser
 
 
@@ -516,6 +523,42 @@ def _join_weights(argv) -> list[str]:
         else:
             joined.append(f"{tok}={value}")
     return joined
+
+
+def _parse_exact(argv) -> argparse.Namespace | None:
+    """The namespace _PARSER would return, read from _COMMANDS directly, for
+    an argv in the declared grammar: an optional leading --json, a
+    subcommand, each of its flags at most once with one value, and --json
+    anywhere after the subcommand.  A weight value is the next token, as
+    _join_weights takes it, but not --; any other value may start with -
+    only as a negative integer.  Any other argv, or a value its type
+    refuses, gives None and is left to argparse."""
+    start = 1 if argv and argv[0] == "--json" else 0
+    if start >= len(argv) or (command := _COMMANDS.get(argv[start])) is None:
+        return None
+    handler, _, flags = command
+    as_json, given, tokens = start == 1, {}, iter(argv[start + 1 :])
+    for tok in tokens:
+        if tok == "--json":
+            as_json = True
+            continue
+        text = next(tokens, None)
+        if tok not in flags or tok in given or text is None or text == "--":
+            return None
+        if tok not in _WEIGHT_FLAGS and text[:1] == "-" and not text[1:].isdecimal():
+            return None
+        given[tok] = text
+    values = {"json": as_json, "command": argv[start]}
+    for flag, (convert, default) in flags.items():
+        if flag in given:
+            try:
+                default = convert(given[flag])
+            except (TypeError, ValueError):
+                return None
+        elif default is None:
+            return None
+        values[flag[2:]] = default
+    return argparse.Namespace(**values, handler=handler)
 
 
 def _render_text(report: dict) -> str:
@@ -556,7 +599,9 @@ def run(argv) -> int:
     code = EXIT_OK
     as_json = "--json" in argv
     try:
-        args = _PARSER.parse_args(_join_weights(argv))
+        args = _parse_exact(argv)
+        if args is None:
+            args = _PARSER.parse_args(_join_weights(argv))
         as_json = args.json
         report["command"] = args.command
         # nothing reads a tolerance; schema version 1 keeps the field

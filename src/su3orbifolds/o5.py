@@ -24,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from math import cos, pi, sin, sqrt
+from math import cos, inf, isnan, pi, sin, sqrt
 
 import numpy as np
 from scipy.linalg import subspace_angles
@@ -403,7 +403,8 @@ class O5Verification:
     seed: int
     off_torus_count: int  # samples counted: all but the exempt ones
     # smallest search minimum and certified spectral lower bound over the
-    # counted samples, None when none is counted
+    # counted samples that gave a number, None when none did; a NaN value or
+    # bound makes off_torus_positive and passed False
     off_torus_floor: "float | None"
     off_torus_lower_bound: "float | None"
     off_torus_positive: bool
@@ -575,8 +576,8 @@ def o5_verify(
     rng_t = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(1,))))
     torus_s, torus_theta = zip(*(rng_t.uniform(0, 2 * pi, 2) for _ in range(torus_points)))
 
-    off_floor = float("inf")
-    off_lb = float("inf")
+    off_floor = off_lb = inf
+    off_nan = False
     max_flat = max_cert_flat = max_horiz = max_angle = 0.0
     off_count = uniq_checked = 0
     uniq_max = tang_max = cont_max = 0.0
@@ -590,6 +591,8 @@ def o5_verify(
                 continue
             off_count += 1
             value, lower_bound = result
+            # min never keeps a NaN, so it is flagged here and fails the gate
+            off_nan = off_nan or isnan(value) or isnan(lower_bound)
             off_floor = min(off_floor, value)
             off_lb = min(off_lb, lower_bound)
         for flat, cert_flat, horiz, angle, near_zero, tang, cont in torus_results:
@@ -602,9 +605,10 @@ def o5_verify(
                 uniq_max = max(uniq_max, a)
             tang_max = max(tang_max, tang)
             cont_max = max(cont_max, *cont)
-    if not off_count:  # no floor to report, and no Infinity in a JSON report
-        off_floor = off_lb = None
-    off_positive = off_count > 0 and off_floor > 0 and off_lb > 0
+    off_positive = off_count > 0 and not off_nan and off_floor > 0 and off_lb > 0
+    # a floor that no number lowered (no sample counted, or NaN only) is
+    # None: no Infinity in a JSON report
+    off_floor, off_lb = (None if x == inf else x for x in (off_floor, off_lb))
     torus_flat = (
         max_flat < TORUS_FLATNESS_BOUND
         and max_cert_flat < CERT_FLATNESS_BOUND

@@ -413,6 +413,32 @@ class TestO5Verify:
         assert off["min_flatness_floor"] is None and off["certified_lower_bound"] is None
         assert off["positive"] is False
 
+    def test_nan_search_reports_null(self, monkeypatch):
+        # every search value NaN and every sample off the torus: every
+        # sample is counted, no value is a number, and the gate fails with a
+        # report that stays strict JSON
+        from su3orbifolds import o5
+
+        real = o5.min_flatness
+
+        def nan(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), value=float("nan"))
+
+        monkeypatch.setattr(o5, "min_flatness", nan)
+        monkeypatch.setattr(o5, "distance_to_torus", lambda g: 1.0)
+        code, out = run_cli("o5-verify", "--samples", "2", "--restarts", "1", "--json")
+        assert code == 3
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        report = json.loads(out, parse_constant=reject)
+        jsonschema.validate(report, SCHEMA)
+        off = report["result"]["off_torus"]
+        assert off["count"] == 2
+        assert off["min_flatness_floor"] is None and off["certified_lower_bound"] is not None
+        assert off["positive"] is False and report["result"]["passed"] is False
+
     def test_failed_verification_exit3(self, monkeypatch):
         from su3orbifolds import o5
 
@@ -549,6 +575,104 @@ class TestParsing:
         for case in golden[:4]:
             assert run_cli("analyze7", "--p", "1,1", "--q", "0,0,2", "--json")[0] == 1
             assert run_cli(*case["argv"]) == (case["exit_code"], case["stdout"])
+
+
+SUBCOMMANDS = list(cli._COMMANDS)
+FLAGS = sorted({flag for _, _, flags in cli._COMMANDS.values() for flag in flags})
+# value bodies that int, float and argparse read differently: spaces,
+# underscores, exponents, Arabic-Indic and superscript digits; a value is a
+# body with or without a leading minus sign, so "--", "-x" and "-3_0" occur
+INT_BODIES = ["0", "3", "17", " 4", "4 ", "3_0", "٣"]
+BODIES = [*INT_BODIES, "0.25", ".5", "1e3", "nan", "inf", "³", "1,1,3", "-1,0,1", "", "-", "x", "h"]
+WORDS = [
+    *SUBCOMMANDS, *FLAGS, *BODIES, *("-" + body for body in BODIES),
+    "--json", "--js", "--help", "--p=3", "--a=0,1,1", "frobnicate",
+]
+
+
+@st.composite
+def fuzzed_argvs(draw):
+    """Argvs of random words, and argvs near the grammar: a subcommand's
+    flags in any order, sometimes one left out or one repeated, values
+    mostly integers, and sometimes a word inserted or a word deleted."""
+
+    def sometimes():
+        return draw(st.integers(0, 3)) == 0
+
+    if sometimes():
+        return draw(st.lists(st.sampled_from(WORDS), max_size=8))
+    command = draw(st.sampled_from(SUBCOMMANDS))
+    flags = draw(st.permutations(list(cli._COMMANDS[command][2])))
+    if sometimes():
+        flags.pop()
+    if sometimes():
+        flags.append(draw(st.sampled_from(flags or FLAGS)))
+    argv = ["--json"] * draw(st.booleans()) + [command]
+    for flag in flags:
+        body = draw(st.sampled_from(BODIES if sometimes() else INT_BODIES))
+        argv += [flag, "-" * draw(st.booleans()) + body]
+    while sometimes():
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--json", *WORDS])))
+    if sometimes():
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    return argv
+
+
+@st.composite
+def exact_argvs(draw):
+    """The argv shapes of perfbench's cli-exact workload: each subcommand's
+    required flags in order, weight triples and integers of any sign, and
+    a trailing --json."""
+    command = draw(st.sampled_from(SUBCOMMANDS[:-1]))
+    ints = st.integers(-(10**40), 10**40).map(str)
+    triples = st.tuples(ints, ints, ints).map(",".join)
+    argv = [command]
+    for flag, (convert, default) in cli._COMMANDS[command][2].items():
+        if default is None:
+            argv += [flag, draw(triples if convert is str else ints)]
+    return [*argv, "--json"]
+
+
+def argparse_items(argv):
+    """The items of argparse's namespace, or None where it refuses argv."""
+    try:
+        with redirect_stdout(io.StringIO()):
+            return list(vars(cli._PARSER.parse_args(cli._join_weights(argv))).items())
+    except (cli.Stop, SystemExit):
+        return None
+
+
+class TestExactParse:
+    @settings(max_examples=1500, deadline=None)
+    @given(fuzzed_argvs())
+    @example(["analyze7", "--p", "--", "--q", "0,0,1"])
+    @example(["wu", "--p", "--", "--q", "1"])
+    # argparse converts each copy of a repeated flag, and refuses -3_0,
+    # which int reads
+    @example(["wu", "--p", "x", "--p", "3", "--q", "1"])
+    @example(["wcp", "--p", "1", "--q", "1", "--r", "-3_0"])
+    def test_declines_or_agrees_with_argparse(self, argv):
+        fast = cli._parse_exact(argv)
+        if fast is not None:
+            assert list(vars(fast).items()) == argparse_items(argv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(exact_argvs())
+    def test_takes_every_cli_exact_shape(self, argv):
+        fast = cli._parse_exact(argv)
+        assert fast is not None
+        assert list(vars(fast).items()) == argparse_items(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--json", "wu", "--json", "--q", "1", "--p", "3", "--json"],
+            ["o5-verify", "--nu", "-1", "--seed", "٣"],
+            ["cohom1", "--a", "--d", "--b", "-h", "--d", "-3"],
+        ],
+    )
+    def test_takes_well_formed_spellings(self, argv):
+        assert list(vars(cli._parse_exact(argv)).items()) == argparse_items(argv)
 
 
 class TestReportValues:

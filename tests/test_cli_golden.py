@@ -2,8 +2,10 @@
 
 `cli_golden.json` pins the exit code and the full stdout, in text and in
 --json mode, of analyze7, analyze6, cohom1, poscurv, normalize, wu and
-wcp on the README examples, seeded small and 30-digit inputs, and
-exit-1 and exit-2 cases.  After an intended report change, rewrite the
+wcp on the README examples, seeded small and 30-digit inputs, exit-1
+and exit-2 cases, and argvs at the edge of the flag grammar (repeated
+flags, --flag=value, negative integers, --json twice, unknown flags,
+missing, unconvertible or bare -- values).  After an intended report change, rewrite the
 recorded outputs for the same argv list with
 
     PYTHONPATH=src python tests/test_cli_golden.py

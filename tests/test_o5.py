@@ -473,6 +473,30 @@ class TestOffTorusFilter:
         assert res.off_torus_lower_bound == min(r.lower_bound for r in searches)
         assert not res.off_torus_positive and not res.passed
 
+    @pytest.mark.parametrize("field", ["value", "lower_bound"])
+    def test_nan_search_fails_the_gate(self, monkeypatch, distance, field):
+        # sample 0 returns a NaN, which min never keeps: it is counted, the
+        # floors are those of the numbers, and the gate fails
+        real = o5.min_flatness
+
+        def planted(g, m, restarts, seed):
+            res = real(g, m, restarts=restarts, seed=seed)
+            return dataclasses.replace(res, **{field: float("nan")}) if self.index(g) == 0 else res
+
+        monkeypatch.setattr(o5, "min_flatness", planted)
+        distance(lambda i: 1.0)
+        res = o5_verify(0.5, seed=self.SEED, **self.SMALL)
+        searches = [
+            real(g, CheegerMetric(0.5), restarts=self.SMALL["restarts"], seed=c)
+            for g, c in (o5._sample(self.SEED, i) for i in range(self.SMALL["samples"]))
+        ]
+        assert res.off_torus_count == self.SMALL["samples"]
+        floors = {"value": res.off_torus_floor, "lower_bound": res.off_torus_lower_bound}
+        for name, floor in floors.items():
+            numbers = searches[1:] if name == field else searches
+            assert floor == min(getattr(r, name) for r in numbers) > 0
+        assert not res.off_torus_positive and not res.passed
+
 
 def _usable_cpus():
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
