@@ -552,12 +552,13 @@ def _parse_exact(argv) -> argparse.Namespace | None:
     for flag, (convert, default) in flags.items():
         if flag in given:
             try:
-                default = convert(given[flag])
+                values[flag[2:]] = convert(given[flag])
             except (TypeError, ValueError):
                 return None
         elif default is None:
             return None
-        values[flag[2:]] = default
+        else:
+            values[flag[2:]] = default
     return argparse.Namespace(**values, handler=handler)
 
 
