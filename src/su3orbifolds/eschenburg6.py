@@ -396,12 +396,15 @@ class Cohom1Params:
 def cohom1_params(d: int, a: Weight3, b: Weight3) -> Cohom1Params:
     """Normalize arbitrary second-circle weights to the a_3 = 0 gauge.
 
-    The family is indexed by d >= 0; a negative d raises ValueError.
+    The family is indexed by d >= 0; a negative d, weights that are not
+    triples and unequal weight sums raise ValueError.
     """
     if d < 0:
         raise ValueError(f"the family requires d >= 0, got d={d}")
     a = tuple(int(x) for x in a)
     b = tuple(int(x) for x in b)
+    if len(a) != 3 or len(b) != 3:
+        raise ValueError("weights must be triples")
     if sum(a) != sum(b):
         raise ValueError("weight sums must agree: sum(a) != sum(b)")
     c = a[2]
@@ -412,63 +415,67 @@ def cohom1_params(d: int, a: Weight3, b: Weight3) -> Cohom1Params:
 
 @dataclass(frozen=True)
 class Cohom1Tables:
-    """Closed-form vertex and stratum orders for the family."""
+    """Closed-form vertex and stratum orders for the family; every group is
+    cyclic (tests/test_eschenburg6.py::TestCohom1Proofs)."""
 
     vertex_orders: tuple[int, int, int, int, int, int]  # in VERTEX_ORDER
     edge_orders: dict[tuple[int, int], int]
-    noncyclic_edges: tuple[tuple[int, int], ...]  # structural check results
 
 
 def _vertex_formulas(p: Cohom1Params) -> dict[Permutation3, int]:
+    """Signed vertex orders: +-det of each matching's first two relation rows."""
     al, be, ga, de, d = p.alpha, p.beta, p.gamma, p.delta, p.d
     return {
-        IDENTITY: abs((al - be) - (ga - de)),
-        SWAP_12: abs((al - be) + (ga - de)),
-        SWAP_13: abs(ga + d * (be - de)),
-        CYCLE_123: abs(ga + d * (al - de)),
-        CYCLE_132: abs(de + d * (be - ga)),
-        SWAP_23: abs(de + d * (al - ga)),
+        IDENTITY: (al - be) - (ga - de),
+        SWAP_12: (al - be) + (ga - de),
+        SWAP_13: ga + d * (be - de),
+        CYCLE_123: ga + d * (al - de),
+        CYCLE_132: de + d * (be - ga),
+        SWAP_23: de + d * (al - ga),
     }
 
 
-def _edge_formulas(p: Cohom1Params) -> dict[tuple[int, int], int]:
+def _edge_formulas(p: Cohom1Params) -> dict[tuple[int, int], tuple[int, int]]:
+    """Two linear forms per stratum whose gcd is its order: they generate
+    the ideal of the 2 x 2 minors of the stacked endpoint rows."""
     al, be, ga, de, d = p.alpha, p.beta, p.gamma, p.delta, p.d
     return {
-        (1, 1): gcd((al - be) - (ga - de), de + d * (al - ga)),
-        (1, 2): gcd((al - be) + (ga - de), ga + d * (al - de)),
-        (1, 3): gcd(de - ga, de + d * (be - ga)),
-        (2, 1): gcd((al - be) + (ga - de), de + d * (be - ga)),
-        (2, 2): gcd((al - be) - (ga - de), ga + d * (be - de)),
-        (2, 3): gcd(de - ga, de + d * (al - ga)),
-        (3, 1): gcd(al - be, ga + d * (al - de)),
-        (3, 2): gcd(al - be, de + d * (al - ga)),
-        (3, 3): gcd(al - be, ga - de),
+        (1, 1): ((al - be) - (ga - de), de + d * (al - ga)),
+        (1, 2): ((al - be) + (ga - de), ga + d * (al - de)),
+        (1, 3): (de - ga, de + d * (be - ga)),
+        (2, 1): ((al - be) + (ga - de), de + d * (be - ga)),
+        (2, 2): ((al - be) - (ga - de), ga + d * (be - de)),
+        (2, 3): (de - ga, de + d * (al - ga)),
+        (3, 1): (al - be, ga + d * (al - de)),
+        (3, 2): (al - be, de + d * (al - ga)),
+        (3, 3): (al - be, ga - de),
     }
+
+
+def _kernel_formulas(p: Cohom1Params) -> tuple[int, int, int]:
+    """Linear forms whose gcd is the order of the family action's kernel."""
+    return (p.gamma - p.delta, p.alpha - p.beta, p.alpha * p.d - p.gamma * (p.d - 1))
+
+
+def _shear(p: Cohom1Params, r: int) -> tuple[Weight3, Weight3]:
+    """The second circle plus r times the first, shifted by -r*d."""
+    s = r - r * p.d
+    return (
+        (p.alpha + s, p.beta + s, 0),
+        (p.gamma - r * p.d, p.delta - r * p.d, p.epsilon + 2 * r),
+    )
 
 
 def cohom1_tables(params: Cohom1Params) -> Cohom1Tables:
-    """Vertex and stratum orders via closed formulas, cross-checked against
-    the structural isotropy computation on the assembled torus action."""
-    act = params.action()
-    rows = {s: _stabilizer_rows(act, s) for s in VERTEX_ORDER}
-    if not all(_vertex_order(r) for r in rows.values()):
+    """Vertex and stratum orders from closed forms, which equal those of
+    gamma6 and lgroup6 on params.action() by the sympy proofs in
+    tests/test_eschenburg6.py::TestCohom1Proofs."""
+    vertices = {s: abs(n) for s, n in _vertex_formulas(params).items()}
+    if not all(vertices.values()):
         raise ValueError("degenerate second circle: not an orbifold action")
-    vf = _vertex_formulas(params)
-    ef = _edge_formulas(params)
-    noncyclic = []
-    for sigma in VERTEX_ORDER:
-        if _vertex_group(rows[sigma]).order != vf[sigma]:
-            raise RuntimeError(f"vertex formula mismatch at {PERM_NAMES[sigma]}")
-    for e in EDGE_ORDER:
-        group = _stratum_group(rows, *EDGE_ENDPOINTS[e])
-        if group.order != ef[e]:
-            raise RuntimeError(f"stratum formula mismatch at L_{e}")
-        if not group.is_cyclic:
-            noncyclic.append(e)
     return Cohom1Tables(
-        vertex_orders=tuple(vf[s] for s in VERTEX_ORDER),
-        edge_orders=ef,
-        noncyclic_edges=tuple(noncyclic),
+        vertex_orders=tuple(vertices[s] for s in VERTEX_ORDER),
+        edge_orders={e: gcd(*pair) for e, pair in _edge_formulas(params).items()},
     )
 
 
@@ -476,30 +483,20 @@ def effectivize_cohom1(d: int, a: Weight3, b: Weight3) -> tuple[Weight3, Weight3
     """Make the second circle act effectively on the d-th family member,
     without disturbing the first circle p=(1,1,d), q=(0,0,d+2).
 
-    Shears the second circle by a multiple of the first, shifts, and
-    divides by the kernel order k = gcd(gamma-delta, alpha-beta,
-    alpha*d - gamma*(d-1)).
+    Shears the second circle by r = gamma - alpha (mod k) times the first,
+    shifts, and divides by the kernel order k = gcd(gamma-delta,
+    alpha-beta, alpha*d - gamma*(d-1)); the shear keeps those forms and
+    makes every weight divisible by k, so the result acts effectively
+    (proved in tests/test_eschenburg6.py::TestCohom1Proofs).
     """
     params = cohom1_params(d, a, b)
-    al, be, ga, de = params.alpha, params.beta, params.gamma, params.delta
-    k = gcd(gcd(ga - de, al - be), al * d - ga * (d - 1))
+    k = gcd(*_kernel_formulas(params))
     if k == 0:
         raise ValueError("degenerate second circle")
     if k == 1:
         return tuple(a), tuple(b)
-    # shear by r times the first circle, then shift by -r*d; the first
-    # entries of a and b are both divisible by k only if r = gamma - alpha
-    # mod k, so that r is the only candidate
-    r = (ga - al) % k
-    na = (al + r - r * d, be + r - r * d, 0)
-    nb = (ga - r * d, de - r * d, params.epsilon + 2 * r)
-    if all(x % k == 0 for x in na + nb):
-        na = tuple(x // k for x in na)
-        nb = tuple(x // k for x in nb)
-        act = TorusAction6(a=na, b=nb, p=(1, 1, d), q=(0, 0, d + 2))
-        if kernel_of_action(act).is_trivial:
-            return na, nb
-    raise RuntimeError("effectivization of the family action failed")
+    na, nb = _shear(params, (params.gamma - params.alpha) % k)
+    return tuple(x // k for x in na), tuple(x // k for x in nb)
 
 
 @dataclass(frozen=True)

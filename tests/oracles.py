@@ -233,9 +233,11 @@ def effectivize_cohom1_scan(d: int, a, b):
     multiple r in range(k) for the kernel order k, in order.
 
     Linear in k, so only usable for small weights.  It shares the gauge
-    normalization and the kernel check with the implementation; only the
-    choice of r differs.  Raises like the implementation: ValueError for
-    k = 0, RuntimeError when no r works.
+    normalization with the implementation, and it keeps the divisibility
+    test and the kernel check that the implementation replaced by the
+    proofs in tests/test_eschenburg6.py::TestCohom1Proofs.  Raises
+    ValueError for k = 0, as the implementation does, and RuntimeError
+    when no r works, which those proofs rule out.
     """
     params = cohom1_params(d, a, b)
     al, be, ga, de = params.alpha, params.beta, params.gamma, params.delta

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from su3orbifolds.eschenburg6 import (
+    Cohom1Params,
     Cohom1Tables,
+    EDGE_ENDPOINTS,
     EDGE_ORDER,
     GL2Z,
     EdgeReport,
@@ -22,8 +26,13 @@ from su3orbifolds.eschenburg6 import (
     Swap,
     TorusAction6,
     VERTEX_ORDER,
+    _edge_formulas,
+    _kernel_formulas,
+    _kernel_rows,
     _scale_triple,
+    _shear,
     _stabilizer_rows,
+    _vertex_formulas,
     apply_equivalence,
     cohom1_params,
     cohom1_tables,
@@ -419,8 +428,8 @@ class TestCohom1Tables:
         st.tuples(*[st.integers(-6, 6) | HUGE] * 5),
     )
     def test_equals_structural_groups(self, d, w):
-        # the tables read the same orders and cyclicity as gamma6 and
-        # lgroup6 on the family member's action
+        # the tables read the same orders as gamma6 and lgroup6 on the
+        # family member's action, and every stratum is cyclic
         a, b = w[:3], (w[3], w[4], sum(w[:3]) - w[3] - w[4])
         params = cohom1_params(d, a, b)
         act = params.action()
@@ -432,8 +441,145 @@ class TestCohom1Tables:
         assert cohom1_tables(params) == Cohom1Tables(
             vertex_orders=tuple(gamma6(act, s).order for s in VERTEX_ORDER),
             edge_orders={e: g.order for e, g in edges.items()},
-            noncyclic_edges=tuple(e for e, g in edges.items() if not g.is_cyclic),
         )
+        assert all(g.is_cyclic for g in edges.values())
+
+    @pytest.mark.parametrize("a, b", [((0, 1, 1, 5), (2, 0, 0, 5)), ((0, 1), (1, 0))])
+    def test_weights_must_be_triples(self, a, b):
+        for f in (cohom1_params, effectivize_cohom1):
+            with pytest.raises(ValueError, match="^weights must be triples$"):
+                f(3, a, b)
+
+
+D, ALPHA, BETA, GAMMA, DELTA = sympy.symbols("d alpha beta gamma delta", integer=True)
+SYMBOLIC_FAMILY = Cohom1Params(d=D, alpha=ALPHA, beta=BETA, gamma=GAMMA, delta=DELTA)
+# the weights of SYMBOLIC_FAMILY.action(), which TorusAction6 cannot hold
+SYMBOLIC_ACTION = SimpleNamespace(
+    a=(ALPHA, BETA, 0),
+    b=(GAMMA, DELTA, SYMBOLIC_FAMILY.epsilon),
+    p=(1, 1, D),
+    q=(0, 0, D + 2),
+)
+
+
+def _in_zd(c):
+    """c is a polynomial in d with integer coefficients."""
+    num, den = sympy.fraction(sympy.cancel(c))
+    return den == 1 and sympy.Poly(num, D).domain == sympy.ZZ
+
+
+def _cofactors(forms, gens):
+    """The matrix C over Z[d] with forms = C * gens, for linear forms in
+    alpha, beta, gamma, delta with coefficients in Z[d] and gens linearly
+    independent over Q(d); fails when C leaves Z[d]."""
+    cs = sympy.symbols(f"c0:{len(gens)}")
+    rows = []
+    for f in forms:
+        residual = sympy.expand(f - sum(c * g for c, g in zip(cs, gens)))
+        eqs = sympy.Poly(residual, ALPHA, BETA, GAMMA, DELTA).coeffs()
+        (sol,) = sympy.linsolve(eqs, cs)
+        assert not sol.free_symbols & set(cs), "generators are dependent"
+        rows.append([sympy.cancel(c) for c in sol])
+        assert all(_in_zd(c) for c in rows[-1]), (f, gens, rows[-1])
+    return sympy.Matrix(rows)
+
+
+def _assert_same_ideal(forms, gens):
+    """forms and gens generate one ideal of Z[d, alpha, beta, gamma, delta].
+
+    forms = C * gens with C over Z[d] puts the forms in the ideal of gens.
+    Some square block of C, on rows S, has determinant +-1, so its inverse
+    E is over Z[d] too and gens = E * forms[S]: the explicit cofactors of
+    the converse."""
+    C = _cofactors(forms, gens)
+    n = len(gens)
+    for rows in itertools.combinations(range(len(forms)), n):
+        block = C.extract(list(rows), list(range(n)))
+        if sympy.expand(block.det()) in (1, -1):
+            inverse = block.inv()
+            assert all(_in_zd(c) for c in inverse)
+            for g, combo in zip(gens, inverse * sympy.Matrix([forms[i] for i in rows])):
+                assert sympy.expand(g - combo) == 0
+            return
+    raise AssertionError(f"no unimodular block of cofactors for {gens}")
+
+
+def _minors(rows):
+    return [x0 * y1 - y0 * x1 for (x0, y0), (x1, y1) in itertools.combinations(rows, 2)]
+
+
+def _has_unit_entry(rows):
+    return any(x in (1, -1) for row in rows for x in row)
+
+
+class TestCohom1Proofs:
+    """The closed forms of cohom1_tables and effectivize_cohom1, proved once
+    over Z[d, alpha, beta, gamma, delta] for the family p = (1,1,d),
+    q = (0,0,d+2), a = (alpha, beta, 0), b = (gamma, delta, epsilon).
+
+    A group's order is the gcd of the 2 x 2 minors of its relation matrix,
+    and its first invariant factor the gcd of the entries; identities of
+    polynomials therefore hold at every integer member."""
+
+    def test_vertex_forms_are_determinants(self):
+        # gamma6's order is |det| of the matching's first two rows
+        forms = _vertex_formulas(SYMBOLIC_FAMILY)
+        for sigma in VERTEX_ORDER:
+            (det,) = _minors(_stabilizer_rows(SYMBOLIC_ACTION, sigma)[:2])
+            assert sympy.expand(forms[sigma] - det) == 0 or sympy.expand(forms[sigma] + det) == 0
+
+    @pytest.mark.parametrize("edge", EDGE_ORDER, ids=lambda e: f"L{e[0]}{e[1]}")
+    def test_edge_pair_generates_the_minor_ideal(self, edge):
+        # lgroup6's order is the gcd of the minors of the four stacked rows
+        ends = EDGE_ENDPOINTS[edge]
+        stacked = [r for s in ends for r in _stabilizer_rows(SYMBOLIC_ACTION, s)[:2]]
+        _assert_same_ideal(_minors(stacked), _edge_formulas(SYMBOLIC_FAMILY)[edge])
+
+    def test_every_group_is_cyclic(self):
+        # an entry +-1 makes the gcd of the entries, the first invariant
+        # factor, 1: each vertex matrix, stratum matrix and the kernel
+        # matrix has one, in the row of a first two entries p_i = 1
+        rows = {s: _stabilizer_rows(SYMBOLIC_ACTION, s)[:2] for s in VERTEX_ORDER}
+        for sigma in VERTEX_ORDER:
+            assert _has_unit_entry(rows[sigma])
+        for sigma, tau in EDGE_ENDPOINTS.values():
+            assert _has_unit_entry(rows[sigma] + rows[tau])
+        assert _has_unit_entry(_kernel_rows(SYMBOLIC_ACTION))
+
+    def test_kernel_order(self):
+        # kernel_of_action's order is the gcd of the kernel matrix's minors
+        _assert_same_ideal(_minors(_kernel_rows(SYMBOLIC_ACTION)), _kernel_formulas(SYMBOLIC_FAMILY))
+
+    def test_shear_divides_by_the_kernel_order(self):
+        # the shear keeps the kernel forms, so it keeps k; with r = gamma -
+        # alpha every sheared weight is a Z[d]-combination of the forms, and
+        # a change of r by a multiple of k changes it by a multiple of k.
+        # So k divides every weight, and dividing by k divides the forms by
+        # k: their gcd, the new kernel order, is 1.
+        r = sympy.Symbol("r", integer=True)
+        forms = _kernel_formulas(SYMBOLIC_FAMILY)
+        na, nb = _shear(SYMBOLIC_FAMILY, r)
+        assert na[2] == 0 and sympy.expand(sum(na) - sum(nb)) == 0
+        sheared = Cohom1Params(d=D, alpha=na[0], beta=na[1], gamma=nb[0], delta=nb[1])
+        for f, g in zip(forms, _kernel_formulas(sheared)):
+            assert sympy.expand(f - g) == 0
+        at_r0 = [sympy.expand(sympy.sympify(w).subs(r, GAMMA - ALPHA)) for w in na + nb]
+        _cofactors(at_r0, forms)
+        for w, w0 in zip(na + nb, at_r0):
+            assert _in_zd(sympy.cancel((w - w0) / (r - (GAMMA - ALPHA))))
+
+    def test_no_manifold_member_beyond_d2(self):
+        # for d >= 3 some vertex order exceeds 1.  Two orders 1 are forms
+        # +-1, which differ by 0 or +-2.  (13) - (123) = d(beta - alpha)
+        # then forces alpha = beta; id then reads -(gamma - delta), so
+        # gamma - delta = +-1; and (123) - (23) = (1 + d)(gamma - delta) =
+        # +-(1 + d), which is neither 0 nor +-2.  effectivize_cohom1 returns
+        # a family member that acts effectively, so every quotient of the
+        # family with d >= 3 has a singular point.
+        v = _vertex_formulas(SYMBOLIC_FAMILY)
+        assert sympy.expand(v[SWAP_13] - v[CYCLE_123] - D * (BETA - ALPHA)) == 0
+        assert sympy.expand(v[IDENTITY].subs(ALPHA, BETA) + (GAMMA - DELTA)) == 0
+        assert sympy.expand(v[CYCLE_123] - v[SWAP_23] - (1 + D) * (GAMMA - DELTA)) == 0
 
 
 class TestFamilyClassification:
@@ -448,6 +594,18 @@ class TestFamilyClassification:
         with pytest.raises(ValueError):
             classify_family_member(2, (0, -1, 1), (0, 0, 0))
 
+    def test_d2_member_without_singular_locus(self):
+        # the d >= 3 bound is sharp: at d = 2 all 15 orders can be 1
+        # (TestCohom1Proofs::test_no_manifold_member_beyond_d2)
+        a, b = (-2, -1, 0), (-3, -3, 3)
+        params = cohom1_params(2, a, b)
+        assert (params.alpha, params.beta, params.gamma, params.delta) == (-2, -1, -3, -3)
+        tab = cohom1_tables(params)
+        assert set(tab.vertex_orders) == set(tab.edge_orders.values()) == {1}
+        assert singular_report(params.action()).group_multiset() == ((1, 1),) * 15
+        with pytest.raises(ValueError, match="requires d >= 3"):
+            classify_family_member(2, a, b)
+
     def test_nonempty_locus_random(self):
         rng = random.Random(61)
         checked = 0
@@ -460,7 +618,9 @@ class TestFamilyClassification:
                 rep = classify_family_member(d, a, b)
             except ValueError:
                 continue
-            assert rep.report.singular_vertices() or rep.report.singular_edges()
+            # some vertex, not only some stratum, is singular
+            # (TestCohom1Proofs::test_no_manifold_member_beyond_d2)
+            assert rep.report.singular_vertices()
             checked += 1
 
 
