@@ -281,7 +281,8 @@ def _run_cohom1(args) -> tuple[dict, list, list]:
         raise _malformed(exc) from exc
     try:
         tables = cohom1_tables(params)
-        eff_a, eff_b = effectivize_cohom1(args.d, a, b)
+        # an effective input is reported as given, not in the a_3 = 0 gauge
+        eff_a, eff_b = effectivize_cohom1(params) or (a, b)
     except ValueError as exc:
         raise _not_orbifold({"validity": Validity.NOT_ORBIFOLD, "detail": str(exc)}) from exc
     result = {

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Union
+from typing import Optional, Union
 
 from .lattice import AbelianGroup2, ext_gcd, kernel_group, kernel_generator
 from .eschenburg7 import (
@@ -24,7 +24,6 @@ from .eschenburg7 import (
     CYCLE_123,
     CYCLE_132,
     IDENTITY,
-    PERM_NAMES,
     Permutation3,
     SWAP_12,
     SWAP_13,
@@ -32,6 +31,7 @@ from .eschenburg7 import (
     Validity,
     Weight3,
     permute,
+    weight3,
 )
 
 # Vertex listing order used by all tables and reports.
@@ -66,9 +66,7 @@ class TorusAction6:
 
     def __post_init__(self):
         for name in ("a", "b", "p", "q"):
-            object.__setattr__(self, name, tuple(int(x) for x in getattr(self, name)))
-            if len(getattr(self, name)) != 3:
-                raise ValueError("weights must be triples")
+            object.__setattr__(self, name, weight3(getattr(self, name)))
         if sum(self.a) != sum(self.b):
             raise ValueError("weight sums must agree: sum(a) != sum(b)")
         if sum(self.p) != sum(self.q):
@@ -397,14 +395,11 @@ def cohom1_params(d: int, a: Weight3, b: Weight3) -> Cohom1Params:
     """Normalize arbitrary second-circle weights to the a_3 = 0 gauge.
 
     The family is indexed by d >= 0; a negative d, weights that are not
-    triples and unequal weight sums raise ValueError.
+    integer triples and unequal weight sums raise ValueError.
     """
     if d < 0:
         raise ValueError(f"the family requires d >= 0, got d={d}")
-    a = tuple(int(x) for x in a)
-    b = tuple(int(x) for x in b)
-    if len(a) != 3 or len(b) != 3:
-        raise ValueError("weights must be triples")
+    a, b = weight3(a), weight3(b)
     if sum(a) != sum(b):
         raise ValueError("weight sums must agree: sum(a) != sum(b)")
     c = a[2]
@@ -479,7 +474,7 @@ def cohom1_tables(params: Cohom1Params) -> Cohom1Tables:
     )
 
 
-def effectivize_cohom1(d: int, a: Weight3, b: Weight3) -> tuple[Weight3, Weight3]:
+def effectivize_cohom1(params: Cohom1Params) -> Optional[tuple[Weight3, Weight3]]:
     """Make the second circle act effectively on the d-th family member,
     without disturbing the first circle p=(1,1,d), q=(0,0,d+2).
 
@@ -487,64 +482,13 @@ def effectivize_cohom1(d: int, a: Weight3, b: Weight3) -> tuple[Weight3, Weight3
     shifts, and divides by the kernel order k = gcd(gamma-delta,
     alpha-beta, alpha*d - gamma*(d-1)); the shear keeps those forms and
     makes every weight divisible by k, so the result acts effectively
-    (proved in tests/test_eschenburg6.py::TestCohom1Proofs).
+    (proved in tests/test_eschenburg6.py::TestCohom1Proofs).  Returns
+    None for k = 1, as lattice.kernel_generator does for a trivial kernel.
     """
-    params = cohom1_params(d, a, b)
     k = gcd(*_kernel_formulas(params))
     if k == 0:
         raise ValueError("degenerate second circle")
     if k == 1:
-        return tuple(a), tuple(b)
+        return None
     na, nb = _shear(params, (params.gamma - params.alpha) % k)
     return tuple(x // k for x in na), tuple(x // k for x in nb)
-
-
-@dataclass(frozen=True)
-class FamilyClassification:
-    """Singular-locus report for a family member, with classification notes."""
-
-    params: Cohom1Params
-    report: SingularLocusReport
-    notes: tuple[str, ...]
-
-
-def classify_family_member(d: int, a: Weight3, b: Weight3) -> FamilyClassification:
-    """Classify the singular locus of a family quotient (d >= 3).
-
-    Also asserts the structural facts: the singular locus is never
-    empty, and when exactly two vertices are singular the stratum
-    joining them is singular too.
-    """
-    if d < 3:
-        raise ValueError("family classification requires d >= 3")
-    params = cohom1_params(d, a, b)
-    report = singular_report(params.action())
-    notes = []
-    sing_v = report.singular_vertices()
-    sing_e = report.singular_edges()
-    if not sing_v and not sing_e:
-        raise RuntimeError("empty singular locus: contradicts the classification")
-    for s in VERTEX_ORDER:
-        g = report.vertices[s]
-        if not g.is_trivial:
-            notes.append(f"singular point C_{PERM_NAMES[s]} with group {g}")
-    for e in EDGE_ORDER:
-        r = report.edges[e]
-        if not r.group.is_trivial:
-            names = ", ".join(PERM_NAMES[s] for s in r.endpoints)
-            notes.append(f"singular 2-sphere L_{e[0]}{e[1]} ({names}) with group {r.group}")
-    if len(sing_v) == 2:
-        pair = set(sing_v)
-        connecting = [
-            e for e, r in report.edges.items() if set(r.endpoints) == pair
-        ]
-        if not connecting or all(
-            report.edges[e].group.is_trivial for e in connecting
-        ):
-            raise RuntimeError(
-                "exactly two singular points but no singular connecting sphere"
-            )
-        notes.append(
-            "the two singular points are joined by a singular 2-sphere"
-        )
-    return FamilyClassification(params=params, report=report, notes=tuple(notes))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
+from operator import index
 from typing import Optional
 
 from .lattice import AbelianGroup2
@@ -45,6 +46,18 @@ PERM_NAMES: dict[Permutation3, str] = {
 }
 
 
+def weight3(w) -> Weight3:
+    """w as a triple of Python ints.  Integers (bools and numpy ones too)
+    pass; a float, a Fraction, a string or a non-triple raises ValueError."""
+    try:
+        t = tuple(map(index, w))
+    except TypeError:
+        raise ValueError(f"weights must be triples of integers, got {w!r}") from None
+    if len(t) != 3:
+        raise ValueError("weights must be triples")
+    return t
+
+
 def permute(w: Weight3, sigma: Permutation3) -> Weight3:
     """The triple (w_{s(1)}, w_{s(2)}, w_{s(3)})."""
     return (w[sigma[0] - 1], w[sigma[1] - 1], w[sigma[2] - 1])
@@ -64,10 +77,8 @@ class CircleAction7:
     q: Weight3
 
     def __post_init__(self):
-        object.__setattr__(self, "p", tuple(int(x) for x in self.p))
-        object.__setattr__(self, "q", tuple(int(x) for x in self.q))
-        if len(self.p) != 3 or len(self.q) != 3:
-            raise ValueError("weights must be triples")
+        object.__setattr__(self, "p", weight3(self.p))
+        object.__setattr__(self, "q", weight3(self.q))
         if sum(self.p) != sum(self.q):
             raise ValueError("weight sums must agree: sum(p) != sum(q)")
 

@@ -539,8 +539,8 @@ def o5_verify(
     diag(i,i,-2i) (residual < CONTAINMENT_BOUND).  Deterministic given
     the seed: per-sample generators are split by counter so evaluation
     order does not matter.  Fewer than one sample, restart or torus point,
-    or a nu that CheegerMetric refuses (below su3.NU_FLOOR), raises
-    ValueError.
+    a negative seed, or a nu that CheegerMetric refuses (below
+    su3.NU_FLOOR), raises ValueError.
 
     The inner_nu Gram of the su(3) basis is built once per nu in each
     process (_metric); nothing else outlives a call.
@@ -571,6 +571,8 @@ def o5_verify(
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     if torus_points < 1:
         raise ValueError(f"torus_points must be at least 1, got {torus_points}")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     _metric(nu)  # refuses a nu below su3.NU_FLOOR
 
     rng_t = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(1,))))

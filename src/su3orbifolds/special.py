@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import index
 
 from .lattice import AbelianGroup2
 
@@ -79,22 +80,23 @@ class WuReport:
 def wu_quotient(p: int, q: int) -> WuReport:
     """Singular data of the weight-(p, q) circle quotient of SU(3)/SO(3).
 
-    Requires coprime p >= q >= 0.  The candidate isotropy orders are
-    {p, q, p+q}; exactly one is even and that one sits at a distinguished
-    point of the RP^2 stratum (generic group of order 2), while the odd
-    orders exceeding 1 appear at isolated points.
+    Requires coprime integers p >= q >= 0.  The candidate isotropy orders
+    are {p, q, p+q}; exactly one is even (q = 0 forces p = 1, and the even
+    order 0), and that one sits at a distinguished point of the RP^2
+    stratum (generic group of order 2), while the odd orders exceeding 1
+    appear at isolated points.
     """
-    p, q = int(p), int(q)
+    try:
+        p, q = index(p), index(q)
+    except TypeError:
+        raise ValueError(f"weights must be integers, got {(p, q)!r}") from None
     if gcd(p, q) != 1:
         raise ValueError("weights must be coprime for an effective action")
     if not p >= q >= 0:
         raise ValueError("normalization requires p >= q >= 0")
     valid = p >= q > 0
     orders = (p, q, p + q)
-    evens = [o for o in orders if o % 2 == 0]
-    if valid and len(evens) != 1:
-        raise RuntimeError(f"expected exactly one even order among {orders}")
-    even = evens[0] if evens else 0
+    even = next(o for o in orders if o % 2 == 0)
     isolated = tuple(sorted(o for o in orders if o > 1 and o % 2 == 1))
     return WuReport(
         isolated_points=isolated,

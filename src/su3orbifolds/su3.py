@@ -159,11 +159,6 @@ def haar_su3(rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def random_su3_element(rng: np.random.Generator) -> np.ndarray:
-    """Random element of su(3) with independent normal coefficients."""
-    return combine(rng.standard_normal(8), SU3_BASIS)
-
-
 def vertical_basis_O5(g: np.ndarray) -> list[np.ndarray]:
     """Spanning set of the vertical space of the two-sided SU(2) action.
 

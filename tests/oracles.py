@@ -13,7 +13,8 @@ scan-filter-sort form of the circle-search order.  The numeric oracles,
 distance_to_torus_fd and the per-call horizontal_basis_O5, import scipy
 and the numeric modules when called, so loading this module costs neither.
 stabilizer_check is the float count of the 5-D isotropy that the theorem
-in special.o5_descriptor replaced.
+in special.o5_descriptor replaced.  random_su3_element, a Gaussian
+element of su(3), is used by the tests alone.
 
 The benchmark (perfbench/workloads.py) loads this file for its torsion
 check, so it may import only names that the package keeps.
@@ -235,9 +236,10 @@ def effectivize_cohom1_scan(d: int, a, b):
     Linear in k, so only usable for small weights.  It shares the gauge
     normalization with the implementation, and it keeps the divisibility
     test and the kernel check that the implementation replaced by the
-    proofs in tests/test_eschenburg6.py::TestCohom1Proofs.  Raises
-    ValueError for k = 0, as the implementation does, and RuntimeError
-    when no r works, which those proofs rule out.
+    proofs in tests/test_eschenburg6.py::TestCohom1Proofs.  Like the
+    implementation, it returns None for k = 1 and raises ValueError for
+    k = 0; it raises RuntimeError when no r works, which those proofs
+    rule out.
     """
     params = cohom1_params(d, a, b)
     al, be, ga, de = params.alpha, params.beta, params.gamma, params.delta
@@ -245,7 +247,7 @@ def effectivize_cohom1_scan(d: int, a, b):
     if k == 0:
         raise ValueError("degenerate second circle")
     if k == 1:
-        return tuple(a), tuple(b)
+        return None
     for r in range(k):
         shift = -r * d
         na = (al + r + shift, be + r + shift, r * d + shift)
@@ -384,3 +386,10 @@ def stabilizer_check(g) -> int:
             if np.abs(psi1 @ g @ psi2.conj().T - g).max() < STABILIZER_MATCH_TOL:
                 count += 1
     return count
+
+
+def random_su3_element(rng: np.random.Generator) -> np.ndarray:
+    """Random element of su(3) with independent normal coefficients."""
+    from su3orbifolds.su3 import SU3_BASIS, combine
+
+    return combine(rng.standard_normal(8), SU3_BASIS)

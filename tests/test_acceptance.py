@@ -25,13 +25,13 @@ from su3orbifolds.eschenburg6 import (
     VERTEX_ORDER,
     _stabilizer_rows,
     apply_equivalence,
+    cohom1_params,
     effectivize,
     effectivize_cohom1,
     gamma6,
     kernel_of_action,
     lgroup6,
     singular_report,
-    classify_family_member,
 )
 from su3orbifolds.eschenburg7 import positive7
 from su3orbifolds.lattice import AbelianGroup2
@@ -91,21 +91,26 @@ def test_noncyclic_vertex_group():
         assert time.perf_counter() - start < 1.0
 
 
+def _family_report(d, a, b):
+    """Singular-locus report of the d-th family member's quotient."""
+    return singular_report(cohom1_params(d, a, b).action())
+
+
 def test_family_classification_tables():
     with _gate(2, "one-parameter family singular-locus tables"):
         start = time.perf_counter()
         for d in range(3, 13):
             # single sphere of order d+1
-            rep = classify_family_member(d, (0, -1, 1), (0, 0, 0))
-            orders = {e: r.group.order for e, r in rep.report.singular_edges().items()}
+            rep = _family_report(d, (0, -1, 1), (0, 0, 0))
+            orders = {e: r.group.order for e, r in rep.singular_edges().items()}
             assert set(orders.values()) == {d + 1}
             # three points + conditional spheres
-            rep = classify_family_member(d, (0, 1, 1), (2, 0, 0))
-            v = {s: g.order for s, g in rep.report.singular_vertices().items()}
+            rep = _family_report(d, (0, 1, 1), (2, 0, 0))
+            v = {s: g.order for s, g in rep.singular_vertices().items()}
             assert sorted(v.values()) == sorted(
                 x for x in (3, d + 1, d + 1, 2 * d + 1) if x > 1
             )
-            e = {e: r.group.order for e, r in rep.report.singular_edges().items()}
+            e = {e: r.group.order for e, r in rep.singular_edges().items()}
             expected = {
                 (2, 2): gcd(3, d + 1),
                 (1, 1): gcd(3, 2 * d + 1),
@@ -113,14 +118,14 @@ def test_family_classification_tables():
             }
             assert e == {k: n for k, n in expected.items() if n > 1}
             # single sphere of order d-1
-            rep = classify_family_member(d, (0, 1, 1), (0, 0, 2))
-            orders = {e: r.group.order for e, r in rep.report.singular_edges().items()}
+            rep = _family_report(d, (0, 1, 1), (0, 0, 2))
+            orders = {e: r.group.order for e, r in rep.singular_edges().items()}
             assert set(orders.values()) == {d - 1}
             # three isolated points, no spheres
-            rep = classify_family_member(d, (0, d - 1, 0), (1, d - 1, -1))
-            v = sorted(g.order for g in rep.report.singular_vertices().values())
+            rep = _family_report(d, (0, d - 1, 0), (1, d - 1, -1))
+            v = sorted(g.order for g in rep.singular_vertices().values())
             assert v == sorted((2 * d - 3, d * d - d - 1, d * d - d - 1))
-            assert not rep.report.singular_edges()
+            assert not rep.singular_edges()
         assert time.perf_counter() - start < 5.0
 
 
@@ -180,19 +185,20 @@ def test_family_singular_structure():
             b2 = [rng.randint(-5, 5) for _ in range(2)]
             b = (b2[0], b2[1], sum(a) - sum(b2))
             try:
-                rep = classify_family_member(d, a, b)
+                rep = _family_report(d, a, b)
             except ValueError:
                 continue
-            # classify_family_member raises RuntimeError on an empty locus or a
-            # missing connecting sphere; re-assert the facts here
-            sing_v = rep.report.singular_vertices()
-            sing_e = rep.report.singular_edges()
-            assert sing_v or sing_e
+            # proved for every member in tests/test_eschenburg6.py::
+            # TestCohom1Proofs (test_no_manifold_member_beyond_d2 and
+            # test_two_singular_vertices_are_joined)
+            sing_v = rep.singular_vertices()
+            assert sing_v
             if len(sing_v) == 2:
-                pair = set(sing_v)
+                (n,) = {g.order for g in sing_v.values()}
+                assert n in (d - 1, d, d + 1, d + 2)
                 assert any(
-                    set(r.endpoints) == pair and not r.group.is_trivial
-                    for r in rep.report.edges.values()
+                    set(r.endpoints) == set(sing_v) and r.group.order == n
+                    for r in rep.edges.values()
                 )
             checked += 1
 
@@ -255,7 +261,7 @@ def test_equivalence_and_effectivization():
             b2 = [rng.randint(-5, 5) for _ in range(2)]
             b = (b2[0], b2[1], sum(a) - sum(b2))
             try:
-                na, nb = effectivize_cohom1(d, a, b)
+                na, nb = effectivize_cohom1(cohom1_params(d, a, b)) or (a, b)
             except ValueError:
                 continue
             eff = TorusAction6(a=na, b=nb, p=(1, 1, d), q=(0, 0, d + 2))

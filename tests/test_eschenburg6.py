@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from su3orbifolds.eschenburg6 import (
     Cohom1Params,
@@ -42,7 +43,6 @@ from su3orbifolds.eschenburg6 import (
     kernel_of_action,
     lgroup6,
     singular_report,
-    classify_family_member,
     validate6,
     vertex_order_formula,
 )
@@ -446,9 +446,8 @@ class TestCohom1Tables:
 
     @pytest.mark.parametrize("a, b", [((0, 1, 1, 5), (2, 0, 0, 5)), ((0, 1), (1, 0))])
     def test_weights_must_be_triples(self, a, b):
-        for f in (cohom1_params, effectivize_cohom1):
-            with pytest.raises(ValueError, match="^weights must be triples$"):
-                f(3, a, b)
+        with pytest.raises(ValueError, match="^weights must be triples$"):
+            cohom1_params(3, a, b)
 
 
 D, ALPHA, BETA, GAMMA, DELTA = sympy.symbols("d alpha beta gamma delta", integer=True)
@@ -510,6 +509,35 @@ def _minors(rows):
 
 def _has_unit_entry(rows):
     return any(x in (1, -1) for row in rows for x in row)
+
+
+def _relations(forms):
+    """A basis over Q(d) of the vectors c with sum(c_i * forms_i) == 0,
+    for linear forms in alpha, beta, gamma, delta, each scaled to
+    polynomials in d without a common factor."""
+    weights = (ALPHA, BETA, GAMMA, DELTA)
+    m = sympy.Matrix([[sympy.expand(f).coeff(x) for x in weights] for f in forms])
+    out = []
+    for row in DomainMatrix.from_Matrix(m.T).to_field().nullspace().to_Matrix().tolist():
+        c = sympy.Matrix(row) * sympy.lcm([sympy.denom(x) for x in row])
+        c = (c / sympy.gcd_list(list(c))).applyfunc(sympy.cancel)
+        assert sympy.expand(c.dot(forms)) == 0
+        out.append(c)
+    return out
+
+
+def _integer_roots(poly):
+    """The integer roots d of a nonzero polynomial in d."""
+    return {r for r in sympy.Poly(poly, D).real_roots() if r.is_integer}
+
+
+def _value_given(form, forms):
+    """The value of form, as a function of the values of forms, valid at
+    every integer d >= 3: from a relation e0 * form + e . forms == 0 with
+    e0 nonzero at every such d."""
+    e = next(r for r in _relations([form, *forms]) if r[0] != 0)
+    assert max(_integer_roots(e[0]), default=2) < 3
+    return lambda values: sympy.cancel(-e[1:, 0].dot(values) / e[0])
 
 
 class TestCohom1Proofs:
@@ -581,18 +609,64 @@ class TestCohom1Proofs:
         assert sympy.expand(v[IDENTITY].subs(ALPHA, BETA) + (GAMMA - DELTA)) == 0
         assert sympy.expand(v[CYCLE_123] - v[SWAP_23] - (1 + D) * (GAMMA - DELTA)) == 0
 
+    def test_two_singular_vertices_are_joined(self):
+        # the vertex groups are cyclic, so a member with exactly two
+        # singular vertices has the other four vertex forms +-1.  The six
+        # forms have rank 3 over Q(d), so the other four satisfy one
+        # relation c, which with their signs s reads c . s = 0 at the
+        # member's d.  For each of the 15 pairs and 16 sign patterns, c . s
+        # is either a polynomial with no integer root d >= 3, so no member
+        # has the pattern (every integer root lies in [-3, 2], and d = 2 is
+        # one), or it vanishes identically.  In the 22 cases where it
+        # vanishes, the pair is joined by a stratum, and the other forms
+        # fix the pair's two forms and the stratum's edge pair:
+        # - at id and (12) the forms are 0, +-2/d or +-2/(d+1), which for
+        #   d >= 3 are 0 (not an orbifold) or no integer;
+        # - at every other pair both forms are +-n, n one of d-1, d, d+1,
+        #   d+2, and the edge pair is (0, +-n): the vertices have order n
+        #   and are joined by a sphere of order n.
+        # effectivize_cohom1 makes any member effective within the family,
+        # so this holds for every quotient of the family with d >= 3.
+        vertex = _vertex_formulas(SYMBOLIC_FAMILY)
+        edge = _edge_formulas(SYMBOLIC_FAMILY)
+        joins = {frozenset(ends): e for e, ends in EDGE_ENDPOINTS.items()}
+        consistent, integer_roots = 0, set()
+        for pair in itertools.combinations(VERTEX_ORDER, 2):
+            others = [vertex[s] for s in VERTEX_ORDER if s not in pair]
+            (c,) = _relations(others)
+            joining = joins.get(frozenset(pair))
+            targets = [vertex[s] for s in pair] + list(edge[joining] if joining else ())
+            value_of = [_value_given(f, others) for f in targets]
+            for signs in itertools.product((1, -1), repeat=4):
+                condition = sympy.expand(c.dot(signs))
+                if condition != 0:
+                    integer_roots |= _integer_roots(condition)
+                    continue
+                consistent += 1
+                assert joining is not None, pair
+                n, m, *edge_values = (value(signs) for value in value_of)
+                if pair == (IDENTITY, SWAP_12):
+                    assert {n, m} <= {0, 2 / D, -2 / D, 2 / (D + 1), -2 / (D + 1)}
+                    continue
+                assert n == m and {n, -n} & {D - 1, D, D + 1, D + 2}
+                assert edge_values[0] == 0 and edge_values[1] in (n, -n)
+        assert consistent == 22
+        assert integer_roots == set(range(-3, 3))
+
 
 class TestFamilyClassification:
+    """The singular loci of family quotients (d >= 3), read off
+    singular_report; TestCohom1Proofs proves the structure for all
+    members."""
+
     def test_two_singular_points_joined(self):
-        rep = classify_family_member(5, (0, -1, 1), (0, 0, 0))
-        sing = rep.report.singular_vertices()
+        rep = singular_report(cohom1_params(5, (0, -1, 1), (0, 0, 0)).action())
+        sing = rep.singular_vertices()
         assert set(sing) == {SWAP_13, CYCLE_132}
         assert all(g.order == 6 for g in sing.values())
-        assert any("joined by a singular 2-sphere" in n for n in rep.notes)
-
-    def test_small_d_rejected(self):
-        with pytest.raises(ValueError):
-            classify_family_member(2, (0, -1, 1), (0, 0, 0))
+        # TestCohom1Proofs::test_two_singular_vertices_are_joined
+        assert {e: r.group.order for e, r in rep.singular_edges().items()} == {(1, 3): 6}
+        assert set(rep.edges[(1, 3)].endpoints) == set(sing)
 
     def test_d2_member_without_singular_locus(self):
         # the d >= 3 bound is sharp: at d = 2 all 15 orders can be 1
@@ -603,8 +677,6 @@ class TestFamilyClassification:
         tab = cohom1_tables(params)
         assert set(tab.vertex_orders) == set(tab.edge_orders.values()) == {1}
         assert singular_report(params.action()).group_multiset() == ((1, 1),) * 15
-        with pytest.raises(ValueError, match="requires d >= 3"):
-            classify_family_member(2, a, b)
 
     def test_nonempty_locus_random(self):
         rng = random.Random(61)
@@ -615,12 +687,12 @@ class TestFamilyClassification:
             b2 = [rng.randint(-4, 4) for _ in range(2)]
             b = (b2[0], b2[1], sum(a) - sum(b2))
             try:
-                rep = classify_family_member(d, a, b)
+                rep = singular_report(cohom1_params(d, a, b).action())
             except ValueError:
                 continue
             # some vertex, not only some stratum, is singular
             # (TestCohom1Proofs::test_no_manifold_member_beyond_d2)
-            assert rep.report.singular_vertices()
+            assert rep.singular_vertices()
             checked += 1
 
 
@@ -634,11 +706,15 @@ class TestEffectivizeCohom1:
             b2 = [rng.randint(-5, 5) for _ in range(2)]
             b = (b2[0], b2[1], sum(a) - sum(b2))
             try:
-                na, nb = effectivize_cohom1(d, a, b)
+                params = cohom1_params(d, a, b)
+                eff = effectivize_cohom1(params)
             except ValueError:
                 continue
+            # None: the input already acts effectively
+            na, nb = eff or (a, b)
             act = TorusAction6(a=na, b=nb, p=(1, 1, d), q=(0, 0, d + 2))
             assert kernel_of_action(act).is_trivial
+            assert (eff is None) == kernel_of_action(params.action()).is_trivial
             checked += 1
 
     def test_preserves_quotient(self):
@@ -648,7 +724,7 @@ class TestEffectivizeCohom1:
         base = cohom1_params(d, a, b).action()
         a3 = tuple(3 * x for x in a)
         b3 = tuple(3 * x for x in b)
-        na, nb = effectivize_cohom1(d, a3, b3)
+        na, nb = effectivize_cohom1(cohom1_params(d, a3, b3))
         act = TorusAction6(a=na, b=nb, p=(1, 1, d), q=(0, 0, d + 2))
         assert singular_report(act).group_multiset() == singular_report(base).group_multiset()
 
@@ -656,7 +732,7 @@ class TestEffectivizeCohom1:
     def _outcome(d, a, b):
         """(result or exception type) of the implementation and the scan."""
         out = []
-        for f in (effectivize_cohom1, effectivize_cohom1_scan):
+        for f in (lambda *w: effectivize_cohom1(cohom1_params(*w)), effectivize_cohom1_scan):
             try:
                 out.append(f(d, a, b))
             except (ValueError, RuntimeError) as exc:
@@ -688,7 +764,7 @@ class TestEffectivizeCohom1:
         ak = tuple(k * x + 3 * y for x, y in zip(a, (1, 1, d)))
         bk = tuple(k * x + 3 * y for x, y in zip(b, (0, 0, d + 2)))
         assert not kernel_of_action(cohom1_params(d, ak, bk).action()).is_trivial
-        na, nb = effectivize_cohom1(d, ak, bk)
+        na, nb = effectivize_cohom1(cohom1_params(d, ak, bk))
         act = TorusAction6(a=na, b=nb, p=(1, 1, d), q=(0, 0, d + 2))
         assert kernel_of_action(act).is_trivial
         assert singular_report(act).group_multiset() == singular_report(base).group_multiset()

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -19,7 +21,9 @@ from su3orbifolds.eschenburg7 import (
     permute,
     positive7,
     validate7,
+    weight3,
 )
+from su3orbifolds.eschenburg6 import TorusAction6, cohom1_params
 
 from test_eschenburg6 import HUGE
 
@@ -46,6 +50,43 @@ def circle_actions7(draw, entries):
 
 
 CIRCLE_ACTIONS = circle_actions7(st.integers(-6, 6)) | circle_actions7(HUGE | st.integers(-6, 6))
+
+
+class TestWeight3:
+    @pytest.mark.parametrize(
+        "w, expected",
+        [
+            ((1, -2, 3), (1, -2, 3)),
+            ((True, False, 2), (1, 0, 2)),
+            (np.array([4, 0, -1]), (4, 0, -1)),
+            ((np.int64(10**18), np.uint8(1), 0), (10**18, 1, 0)),
+            ((1.7, 0, 0), None),
+            ((2.0, 0, 0), None),
+            ((Fraction(7, 2), 0, 0), None),
+            ("123", None),
+            (("1", "2", "3"), None),
+            ((1, 2), None),
+            ((1, 2, 3, 4), None),
+            (7, None),
+        ],
+    )
+    def test_integer_triples_only(self, w, expected):
+        # every reader of weight triples goes through weight3, which
+        # refuses what int() would truncate
+        readers = (
+            weight3,
+            lambda v: CircleAction7(p=v, q=v).p,
+            lambda v: TorusAction6(a=v, b=v, p=v, q=v).q,
+            lambda v: cohom1_params(0, v, v),
+        )
+        if expected is None:
+            for read in readers:
+                with pytest.raises(ValueError, match="^weights must be triples"):
+                    read(w)
+            return
+        got = [read(w) for read in readers]
+        assert got == [expected] * 3 + [cohom1_params(0, expected, expected)]
+        assert all(type(x) is int for x in got[0])
 
 
 class TestValidate7:

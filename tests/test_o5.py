@@ -400,6 +400,11 @@ class TestVerificationDriver:
         with pytest.raises(ValueError, match=message):
             o5_verify(0.5, samples=1, restarts=1, torus_points=torus_points)
 
+    @pytest.mark.parametrize("seed", [-1, -(10**30)])
+    def test_negative_seed_raises(self, seed):
+        with pytest.raises(ValueError, match=f"^seed must be at least 0, got {seed}$"):
+            o5_verify(0.5, samples=1, restarts=1, seed=seed, torus_points=1)
+
 
 class TestOffTorusFilter:
     """A sample's distance to the torus is tested only when its flatness

@@ -4,6 +4,7 @@ constant 5-dimensional quotient descriptor."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -110,6 +111,12 @@ class TestWuQuotient:
     def test_wrong_order_rejected(self):
         with pytest.raises(ValueError):
             wu_quotient(1, 2)
+
+    @pytest.mark.parametrize("p, q", [(3.9, 1), (3, 1.0), (Fraction(7, 2), 1), ("3", 1)])
+    def test_non_integer_rejected(self, p, q):
+        # int() would answer 3.9 for p = 3
+        with pytest.raises(ValueError, match="^weights must be integers"):
+            wu_quotient(p, q)
 
     def test_parity_structure_random(self):
         rng = random.Random(109)

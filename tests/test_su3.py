@@ -33,7 +33,6 @@ from su3orbifolds.su3 import (
     is_su3,
     norm2,
     project_K,
-    random_su3_element,
     su3_basis,
     vertical_basis_O5,
 )
@@ -51,7 +50,7 @@ class TestBasis:
     def test_coords_roundtrip(self):
         rng = np.random.default_rng(7)
         basis = su3_basis()
-        x = random_su3_element(rng)
+        x = oracles.random_su3_element(rng)
         c = coords(x, basis)
         assert np.abs(x - combine(c, basis)).max() < 1e-12
 
@@ -75,11 +74,11 @@ class TestShrunkTriple:
     def test_projection_idempotent(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            x = random_su3_element(rng)
+            x = oracles.random_su3_element(rng)
             p = project_K(x)
             assert np.abs(project_K(p) - p).max() < 1e-12
             # self-adjoint: <Px, y> = <x, Py>
-            y = random_su3_element(rng)
+            y = oracles.random_su3_element(rng)
             assert inner(p, y) == pytest.approx(inner(x, project_K(y)), abs=1e-10)
 
     def test_y3_orthogonal_to_K(self):
@@ -109,7 +108,7 @@ class TestGroupSampling:
     def test_random_element_in_algebra(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
-            assert is_su3(random_su3_element(rng))
+            assert is_su3(oracles.random_su3_element(rng))
 
 
 class TestQuotientSpaces:
@@ -218,6 +217,6 @@ class TestFlatness:
 
     def test_symmetric_and_scaling(self):
         rng = np.random.default_rng(29)
-        a, b = random_su3_element(rng), random_su3_element(rng)
+        a, b = oracles.random_su3_element(rng), oracles.random_su3_element(rng)
         assert flatness(a, b) == pytest.approx(flatness(b, a), rel=1e-12)
         assert flatness(2 * a, b) == pytest.approx(4 * flatness(a, b), rel=1e-12)
