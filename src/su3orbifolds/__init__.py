@@ -6,7 +6,8 @@ quotients; a floating-point su(3) layer verifies the curvature claims
 for the 5-dimensional quotient by the twisted SU(2) action.
 
 Names are imported from their modules (lattice, eschenburg7, eschenburg6,
-curvature, special, su3, o5, cli).  Only su3 and o5 load numpy and scipy.
+curvature, special, su3, o5, cli).  Only su3 and o5 load numpy, and only
+o5.distance_to_torus loads scipy, on its first call.
 """
 
 __version__ = "0.1.0"

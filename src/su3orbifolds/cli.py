@@ -380,7 +380,8 @@ def _run_wcp(args) -> tuple[dict, list, list]:
 
 
 def _run_o5_verify(args) -> tuple[dict, list, list]:
-    # numpy and scipy take about 0.6 s to load and only this subcommand needs them
+    # numpy and the numeric modules take about 0.13 s to load and only this
+    # subcommand needs them
     from .o5 import o5_verify
 
     try:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import index
 from typing import Optional, Union
 
 from .lattice import AbelianGroup2, ext_gcd, kernel_group, kernel_generator
@@ -245,7 +246,10 @@ class GL2Z:
     m: tuple[tuple[int, int], tuple[int, int]]
 
     def __post_init__(self):
-        m = tuple(tuple(int(x) for x in row) for row in self.m)
+        try:
+            m = tuple(tuple(map(index, row)) for row in self.m)
+        except TypeError:
+            raise ValueError(f"matrix entries must be integers, got {self.m!r}") from None
         object.__setattr__(self, "m", m)
         if abs(m[0][0] * m[1][1] - m[0][1] * m[1][0]) != 1:
             raise ValueError("matrix must be unimodular")
@@ -394,9 +398,14 @@ class Cohom1Params:
 def cohom1_params(d: int, a: Weight3, b: Weight3) -> Cohom1Params:
     """Normalize arbitrary second-circle weights to the a_3 = 0 gauge.
 
-    The family is indexed by d >= 0; a negative d, weights that are not
-    integer triples and unequal weight sums raise ValueError.
+    The family is indexed by d >= 0; a d that is not a non-negative
+    integer, weights that are not integer triples and unequal weight sums
+    raise ValueError.
     """
+    try:
+        d = index(d)
+    except TypeError:
+        raise ValueError(f"d must be an integer, got {d!r}") from None
     if d < 0:
         raise ValueError(f"the family requires d >= 0, got d={d}")
     a, b = weight3(a), weight3(b)
@@ -404,7 +413,7 @@ def cohom1_params(d: int, a: Weight3, b: Weight3) -> Cohom1Params:
         raise ValueError("weight sums must agree: sum(a) != sum(b)")
     c = a[2]
     return Cohom1Params(
-        d=int(d), alpha=a[0] - c, beta=a[1] - c, gamma=b[0] - c, delta=b[1] - c
+        d=d, alpha=a[0] - c, beta=a[1] - c, gamma=b[0] - c, delta=b[1] - c
     )
 
 

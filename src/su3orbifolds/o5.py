@@ -27,8 +27,6 @@ from functools import lru_cache, partial
 from math import cos, inf, isnan, pi, sin, sqrt
 
 import numpy as np
-from scipy.linalg import subspace_angles
-from scipy.optimize import minimize
 
 from .su3 import (
     CheegerMetric,
@@ -371,11 +369,47 @@ def min_flatness(
     )
 
 
+def _orth(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column space of a, by SVD, as scipy.linalg.orth."""
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    tol = np.amax(s, initial=0.0) * (np.finfo(s.dtype).eps * max(u.shape[0], vh.shape[1]))
+    # in Fortran order, as scipy returns it: np.dot's BLAS call, and with it
+    # the rounding of the products below, follows the memory layout
+    return np.asfortranarray(u)[:, : np.sum(s > tol, dtype=int)]
+
+
+def _subspace_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Principal angles between the column spaces of a and b, largest first.
+
+    The steps of scipy.linalg.subspace_angles (Bjorck-Golub, in the form of
+    Knyazev and Argentati, SIAM J. Sci. Comput. 23(6), 2002), numpy.linalg.svd
+    standing in for scipy's: orth bases, the singular values of their product
+    as cosines, and the sines from the residual where a cosine^2 reaches 1/2.
+    With the same LAPACK the angles are scipy's bit for bit; the tests hold
+    them to it.  A non-finite entry raises scipy's ValueError.
+    """
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    qa, qb = _orth(a), _orth(b)
+    qa_h_qb = np.dot(qa.T.conj(), qb)
+    sigma = np.linalg.svd(qa_h_qb, compute_uv=False)
+    if qa.shape[1] >= qb.shape[1]:
+        resid = qb - np.dot(qa, qa_h_qb)
+    else:
+        resid = qa - np.dot(qb, qa_h_qb.T.conj())
+    mask = sigma**2 >= 0.5
+    if mask.any():
+        mu_arcsin = np.arcsin(np.clip(np.linalg.svd(resid, compute_uv=False), -1.0, 1.0))
+    else:
+        mu_arcsin = 0.0
+    return np.where(mask, mu_arcsin, np.arccos(np.clip(sigma[::-1], -1.0, 1.0)))
+
+
 def plane_angle(pair1, pair2) -> float:
     """Largest principal angle between two planes of su(3)."""
     m1 = np.stack([coords(x, SU3_BASIS) for x in pair1], axis=1)
     m2 = np.stack([coords(x, SU3_BASIS) for x in pair2], axis=1)
-    angles = subspace_angles(m1, m2)
+    angles = _subspace_angles(m1, m2)
     return float(angles.max()) if len(angles) else 0.0
 
 
@@ -548,7 +582,8 @@ def o5_verify(
     Only the torus parameters (s, theta), drawn in point order, stay in
     this process.  Each sample is one job (_off_torus_search): it runs the
     flatness search and tests the sample's distance to the torus only
-    when the search is not positive, so a passing run tests no distance.
+    when the search is not positive, so a passing run tests no distance
+    and loads no scipy (see minimize).
     Each torus point is one job (_torus_check).  _cpu_map
     spreads all the jobs of a call over the usable CPUs: this call forks
     one worker per usable CPU (at most one per job), or runs the jobs in
@@ -561,7 +596,7 @@ def o5_verify(
     The worker count follows the CPU affinity only: it ignores a cgroup
     CPU quota, and each worker runs its own BLAS threads, so set
     OPENBLAS_NUM_THREADS=1 when the CPUs are many.  The speed-up and the
-    memory of the workers (a resident peak of about 60 MB each, shared
+    memory of the workers (a resident peak of about 30 MB each, shared
     pages included) were measured only on a 2-core Xeon with one BLAS
     thread; the resident total grows with the worker count.
     """
@@ -725,6 +760,22 @@ def _torus_objective(params: np.ndarray, g: np.ndarray) -> tuple[float, np.ndarr
     )
     grad = 2 * (da.reshape(5, 9).conj() @ d.ravel()).real
     return float(np.vdot(d, d).real), grad
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first call.
+
+    Only distance_to_torus calls it, and o5_verify calls that only for a
+    sample whose search is not positive, so a passing run loads no scipy.
+    The workers of o5_verify are forked afresh for each call: one that
+    reaches a distance imports scipy.optimize itself, once per worker and
+    call, unless this process had imported it before the fork.  Neither
+    tests/test_acceptance.py::test_almost_positive_5d_quotient nor the
+    o5-gate benchmark meets such a sample at its seeds.
+    """
+    import scipy.optimize
+
+    return scipy.optimize.minimize(*args, **kwargs)
 
 
 def distance_to_torus(g: np.ndarray) -> float:

@@ -32,7 +32,10 @@ class WeightedCP:
     weights: tuple[int, int, int]
 
     def __post_init__(self):
-        w = tuple(int(x) for x in self.weights)
+        try:
+            w = tuple(map(index, self.weights))
+        except TypeError:
+            raise ValueError(f"weights must be integers, got {self.weights!r}") from None
         object.__setattr__(self, "weights", w)
         if any(x <= 0 for x in w):
             raise ValueError("weights must be positive")

@@ -479,6 +479,28 @@ print(sorted(m for m in ("numpy", "scipy") if m in sys.modules))
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_o5_starts_on_numpy_alone():
+    # one CPU, so o5_verify runs its jobs in this interpreter; scipy.optimize
+    # loads only when a distance to the torus is computed (L-BFGS-B stops
+    # about 1.2e-6 from this torus point, far below OFF_TORUS_DISTANCE)
+    script = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from su3orbifolds.o5 import distance_to_torus, o5_verify, torus_point
+assert o5_verify(0.5, samples=2, restarts=8, torus_points=1, seed=0).passed
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+d = distance_to_torus(torus_point(1.0, 2.0))
+print(d < 1e-5, "scipy.optimize" in sys.modules)
+"""
+    src = str(Path(su3orbifolds.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split("\n")[:2] == ["[]", "True True"]
+
+
 def test_no_private_names_imported_across_modules():
     for path in sorted(Path(su3orbifolds.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):

@@ -58,6 +58,7 @@ from su3orbifolds.eschenburg7 import (
     permute,
 )
 from su3orbifolds.lattice import AbelianGroup2, kernel_group
+from su3orbifolds.special import WeightedCP
 
 from oracles import effectivize_cohom1_scan, torsion_profile_matches
 
@@ -448,6 +449,23 @@ class TestCohom1Tables:
     def test_weights_must_be_triples(self, a, b):
         with pytest.raises(ValueError, match="^weights must be triples$"):
             cohom1_params(3, a, b)
+
+
+@pytest.mark.parametrize(
+    "construct",
+    [
+        lambda: cohom1_params(3.5, (0, 1, 1), (2, 0, 0)),
+        lambda: cohom1_params(Fraction(3), (0, 1, 1), (2, 0, 0)),
+        lambda: GL2Z(((1.5, 0), (0, 1))),
+        lambda: GL2Z(((1, 0), (0, "1"))),
+        lambda: WeightedCP((3.7, 2, 1)),
+        lambda: WeightedCP((3, 2.0, 1)),
+    ],
+)
+def test_constructors_refuse_non_integers(construct):
+    # int() would truncate 3.5 to 3 and 1.5 to 1 and build a valid object
+    with pytest.raises(ValueError, match="must be integers|must be an integer"):
+        construct()
 
 
 D, ALPHA, BETA, GAMMA, DELTA = sympy.symbols("d alpha beta gamma delta", integer=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import multiprocessing
@@ -15,7 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy
-from scipy.linalg import expm
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.linalg import expm, subspace_angles
 
 from su3orbifolds import o5
 from su3orbifolds.o5 import (
@@ -50,6 +53,7 @@ from su3orbifolds.su3 import (
 )
 
 from oracles import distance_to_torus_fd, stabilizer_check
+from test_benchmark_contract import PERFBENCH, _fingerprint
 
 M = CheegerMetric(0.5)
 
@@ -379,6 +383,95 @@ class TestStabilizer:
         rng = np.random.default_rng(10)
         for _ in range(5):
             assert stabilizer_check(haar_su3(rng)) == 1
+
+
+@pytest.fixture(scope="module")
+def same_lapack():
+    """Whether perfbench/run.py's fingerprint() is the o5-gate golden one,
+    the condition under which test_golden_digest checks o5-gate's bits."""
+    golden = json.loads((PERFBENCH / "golden.json").read_text())["o5-gate"]["fingerprint"]
+    with pytest.MonkeyPatch.context() as mp:
+        return _fingerprint(mp) == golden
+
+
+def _assert_scipy_angles(a, b, same_lapack):
+    """o5's principal angles of (a, b) are scipy.linalg.subspace_angles':
+    the same bits in the golden environment, at most 1e-15 apart elsewhere."""
+    ours, theirs = o5._subspace_angles(a, b), subspace_angles(a, b)
+    if same_lapack:
+        assert np.array_equal(ours, theirs), (ours, theirs)
+    else:
+        assert ours.shape == theirs.shape
+        assert np.all(np.abs(ours - theirs) <= 1e-15), (ours, theirs)
+
+
+PLANE_MATRICES = arrays(np.float64, (8, 2), elements=st.floats(-1, 1, width=64))
+
+
+class TestPrincipalAngles:
+    """o5._subspace_angles repeats scipy.linalg.subspace_angles with numpy's
+    SVD, so plane_angle needs no scipy."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(a=PLANE_MATRICES, b=PLANE_MATRICES)
+    def test_random_pairs(self, same_lapack, a, b):
+        # two LAPACK builds may put the column space of a matrix of
+        # condition number k about k*eps apart, so elsewhere only
+        # well-conditioned pairs are held to 1e-15
+        if same_lapack or max(np.linalg.cond(a), np.linalg.cond(b)) < 10:
+            _assert_scipy_angles(a, b, same_lapack)
+
+    def test_near_equal_planes(self, same_lapack):
+        rng = np.random.default_rng(30)
+        for scale in (1e-4, 1e-8, 1e-12, 1e-15, 0.0):
+            for _ in range(50):
+                a = rng.standard_normal((8, 2))
+                b = a + scale * rng.standard_normal((8, 2))
+                _assert_scipy_angles(a, b, same_lapack)
+                _assert_scipy_angles(a, a @ rng.standard_normal((2, 2)), same_lapack)
+
+    def test_rank_deficient_inputs(self, same_lapack):
+        # orth keeps the singular values above max(s) * eps * 8: one or
+        # no column survives here
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            x, y = rng.standard_normal((2, 8))
+            full = np.stack([x, y], axis=1)
+            for a in (
+                np.stack([x, 3 * x], axis=1),
+                np.stack([x, np.zeros(8)], axis=1),
+                np.stack([x, x + 1e-17 * y], axis=1),
+                np.zeros((8, 2)),
+            ):
+                _assert_scipy_angles(a, full, same_lapack)
+                _assert_scipy_angles(full, a, same_lapack)
+                _assert_scipy_angles(a, a, same_lapack)
+
+    def test_pairs_of_a_verification(self, monkeypatch, same_lapack):
+        pairs, real = [], o5._subspace_angles
+
+        def recording(a, b):
+            pairs.append((a, b))
+            return real(a, b)
+
+        # in this process, so the recorder sees every pair
+        monkeypatch.setattr(o5, "_cpu_map", lambda jobs: contextlib.nullcontext(map))
+        monkeypatch.setattr(o5, "_subspace_angles", recording)
+        for nu in (0.25, 0.5, 0.75):
+            assert o5_verify(nu, samples=1, restarts=64, seed=42, torus_points=10).passed
+        monkeypatch.undo()
+        assert len(pairs) > 60  # two per torus point, plus the near-zero restarts
+        for a, b in pairs:
+            _assert_scipy_angles(a, b, same_lapack)
+
+    def test_non_finite_input_raises_as_scipy(self):
+        a = np.ones((8, 2))
+        a[3, 1] = np.nan
+        for args in ((a, np.eye(8, 2)), (np.eye(8, 2), a)):
+            with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+                o5._subspace_angles(*args)
+            with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+                subspace_angles(*args)
 
 
 class TestVerificationDriver:
